@@ -50,7 +50,8 @@ inline core::BatchRunner& shared_runner() {
 }
 
 /// Runs every spec under `config` in one batch and returns the results in
-/// spec order (each equal to run_single_load(spec, config, 20.0, seed)).
+/// spec order (each equal to ScenarioBuilder().stack(config)
+/// .reading_window(reading_window).seed(seed).build().run_single(spec)).
 inline std::vector<core::SingleLoadResult> run_loads(
     const std::vector<corpus::PageSpec>& specs, const core::StackConfig& config,
     Seconds reading_window = 20.0, std::uint64_t seed = 1) {
@@ -109,16 +110,6 @@ inline BenchmarkAverages run_benchmark(const std::vector<corpus::PageSpec>& spec
 /// Percentage saving helper: (base - ours) / base.
 inline double saving(double base, double ours) {
   return base <= 0 ? 0 : (base - ours) / base;
-}
-
-/// One strictly-parsed floating point knob from the registry: unset or
-/// empty falls back, malformed (or out of the registered bounds) exits 2.
-/// `positive` and `expected` must match the registered spec — kept in the
-/// signature so legacy call sites stay source-compatible.
-inline double env_f64_or(const char* name, double fallback,
-                         bool /*positive*/ = false,
-                         const char* /*expected*/ = nullptr) {
-  return knobs().f64_or(name, fallback);
 }
 
 /// EAB_OUTAGE_COUNT / _START / _PERIOD / _DURATION / _FAIL_RATE / _SEED:
@@ -224,41 +215,6 @@ inline bool write_artifact(const std::string& path, std::string_view contents) {
 /// in-process BatchRunner path.  Anything else exits 2.
 inline bool supervise_enabled() { return knobs().flag("EAB_SUPERVISE"); }
 
-/// EAB_WORKERS: concurrent worker processes for supervised sweeps.  Unset
-/// or empty resolves to hardware_concurrency; malformed or out of [1, 1024]
-/// exits 2.
-inline int workers_from_env() {
-  // 0 = resolve_workers default (hardware concurrency).
-  return static_cast<int>(knobs().u64_or("EAB_WORKERS", 0));
-}
-
-/// EAB_CHECKPOINT_DIR: directory for supervised sweeps' durable checkpoint
-/// journals.  Empty = supervise without durability (no resume).
-inline std::string checkpoint_dir() {
-  return knobs().path_or_empty("EAB_CHECKPOINT_DIR");
-}
-
-/// EAB_SELF_CHAOS: seed for the supervisor's self-chaos kill schedule
-/// (0/unset = off); the crash-recovery soak sets this and byte-compares the
-/// recovered outputs against an uninterrupted run.  Malformed exits 2.
-inline std::uint64_t self_chaos_seed_from_env() {
-  return knobs().u64_or("EAB_SELF_CHAOS", 0);
-}
-
-/// EAB_SELF_CHAOS_KILLS: worker SIGKILLs injected per launch (needs
-/// EAB_SELF_CHAOS).  Capped at 64 — a kill schedule longer than any sweep
-/// is a typo, not a soak.  Malformed exits 2.
-inline int self_chaos_kills_from_env() {
-  return static_cast<int>(knobs().u64_or("EAB_SELF_CHAOS_KILLS", 0));
-}
-
-/// EAB_SELF_CHAOS_ORC=1: additionally SIGKILL the orchestrator itself once,
-/// right after a durable checkpoint commit, on the first launch (needs
-/// EAB_SELF_CHAOS and EAB_CHECKPOINT_DIR).  "0"/unset = off; else exit 2.
-inline bool self_chaos_orchestrator_enabled() {
-  return knobs().flag("EAB_SELF_CHAOS_ORC");
-}
-
 /// EAB_TELEMETRY=1 turns simulated-time telemetry on in the harnesses that
 /// honor it (bench_fig11_capacity --cell): cell runs sample cross-layer
 /// gauges into fixed-budget time series and the bench writes a
@@ -280,25 +236,39 @@ inline std::size_t telemetry_budget_from_env() {
   return static_cast<std::size_t>(knobs().u64_or("EAB_TELEMETRY_BUDGET", 256));
 }
 
-/// EAB_PROGRESS=1 turns on the supervisor's live wall-clock progress lines
-/// (stderr, throttled to ~1 Hz).  Off by default; purely observational —
-/// results are bit-identical either way.  Anything else exits 2.
-inline bool progress_enabled() { return knobs().flag("EAB_PROGRESS"); }
-
-/// Assembles the supervised-sweep config from the environment knobs above.
+/// Assembles the supervised-sweep config from the environment knobs.
 /// `journal_name` is the per-sweep journal file under EAB_CHECKPOINT_DIR;
 /// `fingerprint` guards the journal against resumption by a different sweep.
+/// Every knob is strictly parsed against the registry (exit 2 on anything
+/// malformed or out of its bounds):
+///   EAB_WORKERS           concurrent worker processes; unset or empty
+///                         resolves to hardware_concurrency, else [1, 1024]
+///   EAB_CHECKPOINT_DIR    directory for the durable checkpoint journal;
+///                         empty = supervise without durability (no resume)
+///   EAB_SELF_CHAOS        seed for the supervisor's self-chaos kill schedule
+///                         (0/unset = off); the crash-recovery soak sets it
+///                         and byte-compares against an uninterrupted run
+///   EAB_SELF_CHAOS_KILLS  worker SIGKILLs injected per launch (needs
+///                         EAB_SELF_CHAOS); capped at 64 — a kill schedule
+///                         longer than any sweep is a typo, not a soak
+///   EAB_SELF_CHAOS_ORC=1  also SIGKILL the orchestrator once, right after a
+///                         durable commit, on the first launch (needs
+///                         EAB_SELF_CHAOS and EAB_CHECKPOINT_DIR)
+///   EAB_PROGRESS=1        live wall-clock progress lines on stderr (~1 Hz);
+///                         purely observational, results are bit-identical
 inline core::SupervisorConfig supervisor_config_from_env(
     const std::string& journal_name, const std::string& fingerprint) {
   core::SupervisorConfig config;
-  config.workers = workers_from_env();
-  const std::string dir = checkpoint_dir();
+  // 0 = resolve_workers default (hardware concurrency).
+  config.workers = static_cast<int>(knobs().u64_or("EAB_WORKERS", 0));
+  const std::string dir = knobs().path_or_empty("EAB_CHECKPOINT_DIR");
   if (!dir.empty()) config.checkpoint_path = dir + "/" + journal_name;
   config.fingerprint = fingerprint;
-  config.self_chaos_seed = self_chaos_seed_from_env();
-  config.self_chaos_worker_kills = self_chaos_kills_from_env();
-  config.self_chaos_kill_orchestrator = self_chaos_orchestrator_enabled();
-  config.progress = progress_enabled();
+  config.self_chaos_seed = knobs().u64_or("EAB_SELF_CHAOS", 0);
+  config.self_chaos_worker_kills =
+      static_cast<int>(knobs().u64_or("EAB_SELF_CHAOS_KILLS", 0));
+  config.self_chaos_kill_orchestrator = knobs().flag("EAB_SELF_CHAOS_ORC");
+  config.progress = knobs().flag("EAB_PROGRESS");
   return config;
 }
 

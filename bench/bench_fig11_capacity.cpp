@@ -213,17 +213,40 @@ int run_cell_mode() {
                 params.cell_outage_period, params.cell_outage_duration);
   }
 
-  // The co-simulated curves.  Default: the users-axis sweep shards across
-  // the shared BatchRunner's threads (bit-identical to a serial loop for
-  // any EAB_JOBS).  EAB_SUPERVISE=1: the same sweep fans out over forked,
-  // heartbeat-supervised worker processes — one shard per (mode, point),
-  // Original first — with durable checkpoint resume under
-  // EAB_CHECKPOINT_DIR; stdout, BENCH_cell.json and the metrics snapshot
-  // are byte-identical to the in-process path (the supervision report goes
-  // to stderr, outside the deterministic output).
-  std::vector<cell::CellResult> orig_results;
-  std::vector<cell::CellResult> ea_results;
-  if (bench::supervise_enabled()) {
+  // The co-simulated curves: one sweep covers both modes — shard i < n is
+  // the Original curve's i-th point, shard n + i the energy-aware one's.
+  // Default: the shards spread across the shared BatchRunner's threads
+  // (bit-identical to a serial loop for any EAB_JOBS).  EAB_SUPERVISE=1: the
+  // same shards fan out over forked, heartbeat-supervised worker processes
+  // with durable checkpoint resume under EAB_CHECKPOINT_DIR; stdout,
+  // BENCH_cell.json and the metrics snapshot are byte-identical to the
+  // in-process path (the supervision report goes to stderr, outside the
+  // deterministic output).
+  const std::size_t n = users_axis.size();
+  const cell::CellConfig orig_base =
+      cell_config(browser::PipelineMode::kOriginal, params);
+  const cell::CellConfig ea_base =
+      cell_config(browser::PipelineMode::kEnergyAware, params);
+  std::vector<cell::CellResult> orig_results(n);
+  std::vector<cell::CellResult> ea_results(n);
+  core::SweepDriver<cell::CellResult> driver;
+  driver
+      .shard([&](std::size_t shard) {
+        cell::CellConfig config = shard < n ? orig_base : ea_base;
+        config.users = users_axis[shard % n];
+        return cell::run_cell(config);
+      })
+      .codec(cell::serialize_cell_result,
+             [](std::string_view payload) {
+               return cell::deserialize_cell_result(payload);
+             })
+      .consume([&](std::size_t shard, cell::CellResult&& result) {
+        (shard < n ? orig_results[shard] : ea_results[shard - n]) =
+            std::move(result);
+      });
+  if (!bench::supervise_enabled()) {
+    driver.run(2 * n, core::SweepExecution::pooled(bench::shared_runner()));
+  } else {
     std::string fingerprint = "fig11-cell v1";
     bench::appendf(fingerprint,
                    " seed=%llu channels=%d horizon=%.17g shards=%d target=%.17g",
@@ -256,32 +279,8 @@ int run_cell_mode() {
     }
     core::Supervisor supervisor(
         bench::supervisor_config_from_env("fig11_cell.journal", fingerprint));
-    // One supervised run covers both modes: shard i < n is the Original
-    // curve's i-th point, shard n + i the energy-aware one's.
-    const std::size_t n = users_axis.size();
-    std::vector<int> both_axis(users_axis);
-    both_axis.insert(both_axis.end(), users_axis.begin(), users_axis.end());
-    orig_results.resize(n);
-    ea_results.resize(n);
-    cell::CellConfig base =
-        cell_config(browser::PipelineMode::kOriginal, params);
-    const cell::CellConfig ea_base =
-        cell_config(browser::PipelineMode::kEnergyAware, params);
-    const auto report = supervisor.run(
-        2 * n,
-        [&](std::size_t shard) {
-          cell::CellConfig config = shard < n ? base : ea_base;
-          config.users = both_axis[shard];
-          return cell::serialize_cell_result(cell::run_cell(config));
-        },
-        [&](std::size_t shard, std::string_view payload) {
-          cell::CellResult result = cell::deserialize_cell_result(payload);
-          if (shard < n) {
-            orig_results[shard] = std::move(result);
-          } else {
-            ea_results[shard - n] = std::move(result);
-          }
-        });
+    const core::SupervisorReport report =
+        driver.run(2 * n, core::SweepExecution::supervised(supervisor));
     std::fprintf(stderr, "%s\n", report.summary().c_str());
     if (!report.ok()) {
       for (const core::ShardError& e : report.errors) {
@@ -290,13 +289,6 @@ int run_cell_mode() {
       }
       return 1;
     }
-  } else {
-    orig_results = cell::run_cell_sweep(
-        cell_config(browser::PipelineMode::kOriginal, params), users_axis,
-        bench::shared_runner());
-    ea_results = cell::run_cell_sweep(
-        cell_config(browser::PipelineMode::kEnergyAware, params), users_axis,
-        bench::shared_runner());
   }
 
   // The abstract model, scaled to the same small cell, for the side-by-side
@@ -329,10 +321,16 @@ int run_cell_mode() {
   }
   std::printf("%s", table.render().c_str());
 
+  std::vector<double> orig_drops;
+  std::vector<double> ea_drops;
+  for (std::size_t i = 0; i < n; ++i) {
+    orig_drops.push_back(orig_results[i].drop_probability());
+    ea_drops.push_back(ea_results[i].drop_probability());
+  }
   const double cap_orig =
-      cell::users_at_drop_target(users_axis, orig_results, params.target);
+      cell::users_at_drop_target(users_axis, orig_drops, params.target);
   const double cap_ea =
-      cell::users_at_drop_target(users_axis, ea_results, params.target);
+      cell::users_at_drop_target(users_axis, ea_drops, params.target);
   std::printf("cell capacity at %.0f%% dropping: original %.1f users, "
               "energy-aware %.1f users -> +%.1f%%\n",
               params.target * 100, cap_orig, cap_ea,

@@ -6,7 +6,7 @@
 //   1. Capacity under mobility — the Fig 11 claim at metro scale: per-cell
 //      users vs session-dropping probability for both pipelines, with the
 //      5 % service-level capacity interpolated from the sweep
-//      (metro::users_at_drop_target).
+//      (cell::users_at_drop_target).
 //   2. The price of handover signalling — at the top of the users axis,
 //      a dwell-time sweep (shorter dwell = higher handover rate) compares
 //      the hard-handover policy (Table-5 signalling exchange, flows paused)
@@ -241,9 +241,9 @@ int main(int argc, char** argv) {
     ea_drops.push_back(ea[i].drop);
   }
   const double cap_orig =
-      metro::users_at_drop_target(users_axis, orig_drops, params.target);
+      cell::users_at_drop_target(users_axis, orig_drops, params.target);
   const double cap_ea =
-      metro::users_at_drop_target(users_axis, ea_drops, params.target);
+      cell::users_at_drop_target(users_axis, ea_drops, params.target);
   std::printf("metro capacity at %.0f%% dropping: original %.1f users/cell, "
               "energy-aware %.1f users/cell -> +%.1f%%\n",
               params.target * 100, cap_orig, cap_ea,

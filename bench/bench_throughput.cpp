@@ -69,8 +69,12 @@ int main(int argc, char** argv) {
   std::vector<core::SingleLoadResult> serial;
   serial.reserve(jobs.size());
   for (const auto& job : jobs) {
-    serial.push_back(
-        core::run_single_load(job.spec, job.config, job.reading_window, job.seed));
+    serial.push_back(core::ScenarioBuilder()
+                         .stack(job.config)
+                         .reading_window(job.reading_window)
+                         .seed(job.seed)
+                         .build()
+                         .run_single(job.spec));
   }
   const double serial_s = seconds_since(serial_start);
 

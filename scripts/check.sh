@@ -13,7 +13,15 @@ JOBS="${JOBS:-$(nproc)}"
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S .
 cmake --build build -j "$JOBS"
-ctest --test-dir build --output-on-failure -j "$JOBS"
+ctest --test-dir build --output-on-failure -j "$JOBS" | tee build/ctest.log
+# A skipped test checks nothing.  Parameter matrices instantiate over the
+# cases that actually exist (no index range padded with GTEST_SKIPs), so any
+# skip fails the gate instead of passing silently.
+if grep -q '(Skipped)' build/ctest.log; then
+  echo "TIER-1 FAILED: ctest skipped tests:" >&2
+  grep '(Skipped)' build/ctest.log >&2
+  exit 1
+fi
 
 echo "== TSan: core_batch_test under -fsanitize=thread =="
 cmake -B build-tsan -S . -DEAB_SANITIZE=thread

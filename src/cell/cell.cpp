@@ -203,12 +203,18 @@ CellResult deserialize_cell_result(std::string_view bytes) {
   return result;
 }
 
-namespace {
-
-/// The one sweep definition all three deprecated entry points share: shard
-/// i is run_cell(base with users = users_axis[i]).
-core::SweepDriver<CellResult> cell_sweep_driver(
-    const CellConfig& base, const std::vector<int>& users_axis) {
+core::SupervisorReport run_cell_sweep(
+    const CellConfig& base, const std::vector<int>& users_axis,
+    const core::SweepExecution& exec,
+    const std::function<void(std::size_t index, const CellResult& result)>&
+        consume) {
+  validate_cell_config(base);
+  if (exec.tier() == core::SweepExecution::Tier::kSupervised &&
+      base.per_ue.stack.trace) {
+    throw std::invalid_argument(
+        "run_cell_sweep: tracing cannot cross the process boundary; run "
+        "supervised sweeps with tracing off");
+  }
   core::SweepDriver<CellResult> driver;
   driver
       .shard([&base, &users_axis](std::size_t i) {
@@ -220,74 +226,26 @@ core::SweepDriver<CellResult> cell_sweep_driver(
              [](std::string_view payload) {
                return deserialize_cell_result(payload);
              });
-  return driver;
-}
-
-}  // namespace
-
-core::SupervisorReport run_cell_sweep_streaming(
-    const CellConfig& base, const std::vector<int>& users_axis,
-    core::Supervisor& supervisor,
-    const std::function<void(std::size_t index, const CellResult& result)>&
-        consume) {
-  validate_cell_config(base);
-  if (base.per_ue.stack.trace) {
-    throw std::invalid_argument(
-        "run_cell_sweep_streaming: tracing cannot cross the process "
-        "boundary; use the in-process run_cell_sweep for traced sweeps");
-  }
-  core::SweepDriver<CellResult> driver = cell_sweep_driver(base, users_axis);
   if (consume) {
     driver.consume([&consume](std::size_t i, CellResult&& result) {
       consume(i, result);
     });
   }
-  return driver.run(users_axis.size(),
-                    core::SweepExecution::supervised(supervisor));
-}
-
-std::vector<CellResult> run_cell_sweep_supervised(
-    const CellConfig& base, const std::vector<int>& users_axis,
-    core::Supervisor& supervisor) {
-  std::vector<CellResult> results(users_axis.size());
-  const core::SupervisorReport report = run_cell_sweep_streaming(
-      base, users_axis, supervisor,
-      [&](std::size_t i, const CellResult& result) { results[i] = result; });
-  if (!report.ok()) {
-    std::string what = "run_cell_sweep_supervised: shard(s) failed:";
-    for (const core::ShardError& e : report.errors) {
-      what += " [" + std::to_string(e.shard) + "] " + e.what + ";";
-    }
-    throw std::runtime_error(what);
-  }
-  return results;
-}
-
-std::vector<CellResult> run_cell_sweep(const CellConfig& base,
-                                       const std::vector<int>& users_axis,
-                                       core::BatchRunner& runner) {
-  std::vector<CellResult> results(users_axis.size());
-  core::SweepDriver<CellResult> driver = cell_sweep_driver(base, users_axis);
-  driver.consume([&results](std::size_t i, CellResult&& result) {
-    results[i] = std::move(result);
-  });
-  driver.run(users_axis.size(), core::SweepExecution::pooled(runner));
-  return results;
+  return driver.run(users_axis.size(), exec);
 }
 
 double users_at_drop_target(const std::vector<int>& users_axis,
-                            const std::vector<CellResult>& results,
-                            double target) {
-  if (users_axis.size() != results.size() || users_axis.empty()) {
+                            const std::vector<double>& drops, double target) {
+  if (users_axis.size() != drops.size() || users_axis.empty()) {
     throw std::invalid_argument(
-        "users_at_drop_target: axis/results size mismatch or empty");
+        "users_at_drop_target: axis/drops size mismatch or empty");
   }
   double previous_users = users_axis.front();
-  double previous_drop = results.front().drop_probability();
+  double previous_drop = drops.front();
   if (previous_drop >= target) return previous_users;
   for (std::size_t i = 1; i < users_axis.size(); ++i) {
     const double users = users_axis[i];
-    const double drop = results[i].drop_probability();
+    const double drop = drops[i];
     if (drop >= target) {
       const double slope =
           (drop - previous_drop) / std::max(1e-9, users - previous_users);

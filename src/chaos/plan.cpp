@@ -112,7 +112,7 @@ ChaosFault draw_fault(Rng& rng) {
 
 ChaosScenario make_chaos_scenario(std::uint64_t seed) {
   // Decorrelate the scenario stream from the page generator, which is
-  // seeded with the raw scenario seed inside run_single_load.
+  // seeded with the raw scenario seed inside Scenario::run_single.
   Rng rng(derive_seed(seed, 0xC4A05));
   ChaosScenario scenario;
   scenario.seed = seed;

@@ -10,6 +10,8 @@
 #include <mutex>
 #include <thread>
 
+#include "core/scenario.hpp"
+
 namespace eab::core {
 namespace {
 
@@ -334,8 +336,12 @@ std::vector<SingleLoadResult> BatchRunner::run(
   auto execute = [&](std::size_t index) {
     try {
       const BatchJob& job = *work[index].job;
-      computed[index] =
-          run_single_load(job.spec, job.config, job.reading_window, job.seed);
+      computed[index] = ScenarioBuilder()
+                            .stack(job.config)
+                            .reading_window(job.reading_window)
+                            .seed(job.seed)
+                            .build()
+                            .run_single(job.spec);
     } catch (const std::exception& e) {
       failed[index] = 1;
       failures[index] = e.what();

@@ -1,8 +1,8 @@
 // Parallel batch experiment engine.
 //
 // Every figure/table harness runs hundreds of fully independent
-// run_single_load stacks — each load owns its own sim::Simulator, WebServer
-// and radio, so they parallelise perfectly.  BatchRunner fans
+// Scenario::run_single stacks — each load owns its own sim::Simulator,
+// WebServer and radio, so they parallelise perfectly.  BatchRunner fans
 // (PageSpec, StackConfig, reading window, seed) jobs out over a fixed thread
 // pool and returns results in submission order, so a batched sweep is
 // bit-identical to the serial loop it replaces.
@@ -12,8 +12,8 @@
 // and jobs whose keys match an already-computed load — paired
 // Original/Energy-Aware sweeps re-measuring the same pages, the page
 // library's repeated per-variant feature loads — reuse the stored
-// SingleLoadResult instead of simulating again.  run_single_load is a pure
-// function of the key's fields, which is what makes memoisation sound.
+// SingleLoadResult instead of simulating again.  Scenario::run_single is a
+// pure function of the key's fields, which is what makes memoisation sound.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +42,10 @@ struct BatchJob {
   std::uint64_t seed = 1;
 };
 
-/// Canonical byte encoding of everything run_single_load's output depends
-/// on: every PageSpec field, every StackConfig field (including the nested
-/// radio, power, link, pipeline and chaos configs), the reading window and
-/// the seed.  Two jobs with equal keys produce bit-identical
+/// Canonical byte encoding of everything Scenario::run_single's output
+/// depends on: every PageSpec field, every StackConfig field (including the
+/// nested radio, power, link, pipeline and chaos configs), the reading
+/// window and the seed.  Two jobs with equal keys produce bit-identical
 /// SingleLoadResults.
 /// NOTE: any new field added to PageSpec or StackConfig (the fault plan,
 /// retry policy and chaos directives included) must be appended here, or

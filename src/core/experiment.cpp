@@ -28,50 +28,47 @@ StackConfig StackConfig::for_mode(browser::PipelineMode mode) {
   return ScenarioBuilder(mode).build().stack;
 }
 
-SingleLoadResult detail::run_single_load_impl(const corpus::PageSpec& spec,
-                                              const StackConfig& config,
-                                              Seconds reading_window,
-                                              std::uint64_t seed) {
+SingleLoadResult Scenario::run_single(const corpus::PageSpec& spec) const {
   sim::Simulator sim;
-  sim.set_event_budget(config.sim_event_budget);
+  sim.set_event_budget(stack.sim_event_budget);
   net::WebServer server;
   corpus::PageGenerator generator(seed);
   const std::string url = generator.host_page(spec, server);
 
-  radio::RrcMachine rrc(sim, config.rrc, config.power);
-  net::SharedLink link(sim, config.link.dch_bandwidth);
-  net::HttpClient client(sim, server, link, rrc, config.link,
-                         config.max_parallel_connections);
-  browser::CpuScheduler cpu(sim, config.power.cpu_busy_extra);
+  radio::RrcMachine rrc(sim, stack.rrc, stack.power);
+  net::SharedLink link(sim, stack.link.dch_bandwidth);
+  net::HttpClient client(sim, server, link, rrc, stack.link,
+                         stack.max_parallel_connections);
+  browser::CpuScheduler cpu(sim, stack.power.cpu_busy_extra);
   RilStateSwitcher ril(sim, rrc);
 
-  validate_fault_wiring(config);
-  client.set_retry_policy(config.retry);
+  validate_fault_wiring(stack);
+  client.set_retry_policy(stack.retry);
   // Only an enabled plan instantiates the injector: a disabled one must
   // leave the event stream (and thus sim_events) untouched.
   std::optional<net::FaultInjector> faults;
-  if (config.fault_plan.enabled()) {
-    faults.emplace(sim, link, config.fault_plan);
+  if (stack.fault_plan.enabled()) {
+    faults.emplace(sim, link, stack.fault_plan);
     client.set_fault_injector(&*faults);
   }
   // Same null-path discipline for the coverage process: only an enabled
   // outage plan instantiates the injector or touches the RRC hooks.
   std::optional<net::OutageInjector> outage;
-  if (config.outage.enabled()) {
-    outage.emplace(sim, link, rrc, config.outage, /*ue_id=*/0);
+  if (stack.outage.enabled()) {
+    outage.emplace(sim, link, rrc, stack.outage, /*ue_id=*/0);
     rrc.set_on_rlf([&client] { client.on_radio_lost(); });
   }
   // Per-load browser cache.  A single cold load never revisits a URL (the
   // pipeline dedupes requests), so attaching one is behavior-neutral unless
   // a chaos cache storm is also flushing it mid-load.
   std::optional<net::ResourceCache> cache;
-  if (config.use_browser_cache) {
-    cache.emplace(config.browser_cache_bytes);
+  if (stack.use_browser_cache) {
+    cache.emplace(stack.browser_cache_bytes);
     client.set_cache(&*cache);
   }
 
   // Chaos directives (all inert at their zero values).
-  const ChaosDirectives& chaos = config.chaos;
+  const ChaosDirectives& chaos = stack.chaos;
   if (chaos.ril_socket_failures > 0) {
     ril.fail_next(chaos.ril_socket_failures);
   }
@@ -82,15 +79,15 @@ SingleLoadResult detail::run_single_load_impl(const corpus::PageSpec& spec,
     }
   }
 
-  browser::PipelineConfig pipeline_config = config.pipeline;
+  browser::PipelineConfig pipeline_config = stack.pipeline;
   pipeline_config.mobile_page = spec.mobile;
   browser::PageLoad load(sim, client, cpu, pipeline_config, seed ^ 0x9E3779B9);
-  if (config.force_idle_at_tx) {
+  if (stack.force_idle_at_tx) {
     load.set_on_transmission_complete([&ril] { ril.request_idle(); });
   }
 
   std::shared_ptr<obs::TraceRecorder> recorder;
-  if (config.trace) {
+  if (stack.trace) {
     recorder = std::make_shared<obs::TraceRecorder>();
     rrc.set_trace(recorder.get());
     link.set_trace(recorder.get());
@@ -116,7 +113,7 @@ SingleLoadResult detail::run_single_load_impl(const corpus::PageSpec& spec,
   while (!done && sim.step()) {
   }
   if (!done) {
-    throw std::logic_error("run_single_load: load did not complete");
+    throw std::logic_error("Scenario::run_single: load did not complete");
   }
   // Let the reading window elapse so timer-driven demotions play out.
   sim.run_until(metrics.final_display + reading_window);
@@ -185,7 +182,7 @@ SingleLoadResult detail::run_single_load_impl(const corpus::PageSpec& spec,
   m.count("fault.fades", result.link_fades);
   // Radio failure accounting appears only when the subsystem is enabled, so
   // default-path metrics snapshots stay byte-identical to pre-outage builds.
-  if (config.outage.enabled()) {
+  if (stack.outage.enabled()) {
     m.count("radio.outages", result.radio_outages);
     m.count("radio.rlf", result.rlf_count);
     m.count("radio.reestablish_ok", result.reestablish_ok);
@@ -202,11 +199,8 @@ SingleLoadResult detail::run_single_load_impl(const corpus::PageSpec& spec,
   return result;
 }
 
-ProxyLoadResult detail::run_proxy_load_impl(const corpus::PageSpec& spec,
-                                            const StackConfig& config,
-                                            const ProxyConfig& proxy,
-                                            Seconds reading_window,
-                                            std::uint64_t seed) {
+ProxyLoadResult Scenario::run_proxy(const corpus::PageSpec& spec,
+                                    const ProxyConfig& proxy) const {
   // The proxy fetches and renders the page server-side; the phone sees one
   // bundle whose size is the page's total bytes scaled by the compression
   // ratio. We reuse the generated page only for its true byte total.
@@ -218,10 +212,10 @@ ProxyLoadResult detail::run_proxy_load_impl(const corpus::PageSpec& spec,
                          static_cast<double>(staging.total_bytes()));
 
   sim::Simulator sim;
-  radio::RrcMachine rrc(sim, config.rrc, config.power);
-  net::SharedLink link(sim, config.link.dch_bandwidth);
-  net::SocketDownloader downloader(sim, link, rrc, config.link);
-  browser::CpuScheduler cpu(sim, config.power.cpu_busy_extra);
+  radio::RrcMachine rrc(sim, stack.rrc, stack.power);
+  net::SharedLink link(sim, stack.link.dch_bandwidth);
+  net::SocketDownloader downloader(sim, link, rrc, stack.link);
+  browser::CpuScheduler cpu(sim, stack.power.cpu_busy_extra);
   RilStateSwitcher ril(sim, rrc);
 
   ProxyLoadResult result;
@@ -242,7 +236,7 @@ ProxyLoadResult detail::run_proxy_load_impl(const corpus::PageSpec& spec,
   while (!displayed && sim.step()) {
   }
   if (!displayed) {
-    throw std::logic_error("run_proxy_load: load did not complete");
+    throw std::logic_error("Scenario::run_proxy: load did not complete");
   }
   sim.run_until(result.total_time + reading_window);
   const auto total = PowerTimeline::sum(rrc.power(), cpu.power());
@@ -251,12 +245,11 @@ ProxyLoadResult detail::run_proxy_load_impl(const corpus::PageSpec& spec,
   return result;
 }
 
-BulkDownloadResult detail::run_bulk_download_impl(Bytes bytes,
-                                                  const StackConfig& config) {
+BulkDownloadResult Scenario::run_bulk(Bytes bytes) const {
   sim::Simulator sim;
-  radio::RrcMachine rrc(sim, config.rrc, config.power);
-  net::SharedLink link(sim, config.link.dch_bandwidth);
-  net::SocketDownloader downloader(sim, link, rrc, config.link);
+  radio::RrcMachine rrc(sim, stack.rrc, stack.power);
+  net::SharedLink link(sim, stack.link.dch_bandwidth);
+  net::SocketDownloader downloader(sim, link, rrc, stack.link);
 
   BulkDownloadResult result;
   bool done = false;
@@ -268,40 +261,11 @@ BulkDownloadResult detail::run_bulk_download_impl(Bytes bytes,
   while (!done && sim.step()) {
   }
   if (!done) {
-    throw std::logic_error("run_bulk_download: transfer did not complete");
+    throw std::logic_error("Scenario::run_bulk: transfer did not complete");
   }
   result.energy = rrc.power().energy(0.0, result.finished);
   result.link_rate = link.rate_history();
   return result;
-}
-
-// Legacy entry points: thin wrappers over the unified builder path, so every
-// caller — old or new — passes the same build()-time validation.
-SingleLoadResult run_single_load(const corpus::PageSpec& spec,
-                                 const StackConfig& config,
-                                 Seconds reading_window, std::uint64_t seed) {
-  return ScenarioBuilder()
-      .stack(config)
-      .reading_window(reading_window)
-      .seed(seed)
-      .build()
-      .run_single(spec);
-}
-
-ProxyLoadResult run_proxy_load(const corpus::PageSpec& spec,
-                               const StackConfig& config,
-                               const ProxyConfig& proxy, Seconds reading_window,
-                               std::uint64_t seed) {
-  return ScenarioBuilder()
-      .stack(config)
-      .reading_window(reading_window)
-      .seed(seed)
-      .build()
-      .run_proxy(spec, proxy);
-}
-
-BulkDownloadResult run_bulk_download(Bytes bytes, const StackConfig& config) {
-  return ScenarioBuilder().stack(config).build().run_bulk(bytes);
 }
 
 }  // namespace eab::core

@@ -1,6 +1,7 @@
-// Single-load experiment stack.
+// Single-load experiment stack: its configuration and result types.
 //
-// Assembles the full system — simulator, web server with a generated page,
+// Scenario::run_single (scenario.hpp, defined in experiment.cpp) assembles
+// the full system — simulator, web server with a generated page,
 // RRC radio, shared downlink, HTTP client, CPU, one of the two pipelines —
 // runs one page load plus a reading window, and returns every quantity the
 // paper's figures report: timings, Table 1 features, energy integrals, the
@@ -86,7 +87,7 @@ struct StackConfig {
   /// eviction storms); composed by the chaos engine, defaults inert.
   ChaosDirectives chaos;
   /// Liveness guard: the load's simulator may fire at most this many events
-  /// before run_single_load gives up with a sim::BudgetExhaustedError (whose
+  /// before Scenario::run_single gives up with a sim::BudgetExhaustedError (whose
   /// message carries a pending-heap dump).  A healthy load fires a few
   /// thousand events; the default is generous enough that only a genuinely
   /// wedged simulation — an event loop feeding itself — ever trips it.
@@ -138,15 +139,6 @@ struct SingleLoadResult {
 /// other harnesses wiring their own stacks can share the check.
 void validate_fault_wiring(const StackConfig& config);
 
-/// Generates `spec`, loads it under `config`, lets `reading_window` seconds
-/// of reading elapse, and reports the measurements.  Thin wrapper: routes
-/// through ScenarioBuilder (scenario.hpp), which is the canonical assembly
-/// path and applies its build()-time validation.
-SingleLoadResult run_single_load(const corpus::PageSpec& spec,
-                                 const StackConfig& config,
-                                 Seconds reading_window = 20.0,
-                                 std::uint64_t seed = 1);
-
 /// The Fig 4 comparator: pull `bytes` through a raw socket, no browser.
 struct BulkDownloadResult {
   Seconds started = 0;
@@ -155,7 +147,6 @@ struct BulkDownloadResult {
   PowerTimeline link_rate;
   Seconds duration() const { return finished - started; }
 };
-BulkDownloadResult run_bulk_download(Bytes bytes, const StackConfig& config);
 
 /// Proxy-assisted browsing comparator (the paper's Section 6: Opera
 /// Mini-style systems render on a server and ship a compact bundle).
@@ -175,29 +166,5 @@ struct ProxyLoadResult {
   EnergyReport energy;
   Bytes bundle_bytes = 0;
 };
-
-/// Loads `spec` through a rendering proxy: one request, one compressed
-/// bundle, one client-side unpack+display, radio released right after the
-/// bundle (the proxy knows the page is complete).
-ProxyLoadResult run_proxy_load(const corpus::PageSpec& spec,
-                               const StackConfig& config,
-                               const ProxyConfig& proxy = {},
-                               Seconds reading_window = 20.0,
-                               std::uint64_t seed = 1);
-
-namespace detail {
-// The actual stack assemblers, shared by Scenario's run methods and the
-// legacy wrappers above.  Call sites should go through ScenarioBuilder.
-SingleLoadResult run_single_load_impl(const corpus::PageSpec& spec,
-                                      const StackConfig& config,
-                                      Seconds reading_window,
-                                      std::uint64_t seed);
-BulkDownloadResult run_bulk_download_impl(Bytes bytes,
-                                          const StackConfig& config);
-ProxyLoadResult run_proxy_load_impl(const corpus::PageSpec& spec,
-                                    const StackConfig& config,
-                                    const ProxyConfig& proxy,
-                                    Seconds reading_window, std::uint64_t seed);
-}  // namespace detail
 
 }  // namespace eab::core

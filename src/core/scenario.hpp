@@ -3,10 +3,13 @@
 // ScenarioBuilder is the single way one-UE and N-UE experiments are put
 // together: fluent setters over StackConfig plus the run parameters
 // (reading window, seed), with every contradictory-knob check applied once
-// at build().  The legacy free functions (run_single_load and friends) are
-// thin wrappers over a built Scenario, and the cell co-simulation consumes
+// at build().  A built Scenario's run_single / run_bulk / run_proxy are the
+// only way to run a one-UE experiment, and the cell co-simulation consumes
 // a Scenario as its per-UE template — so a config that passed build() is
-// valid everywhere.
+// valid everywhere.  A pre-built StackConfig goes through the same path:
+//
+//   ScenarioBuilder().stack(cfg).reading_window(w).seed(s).build()
+//       .run_single(spec);
 #pragma once
 
 #include <cstdint>
@@ -24,10 +27,16 @@ struct Scenario {
   Seconds reading_window = 20.0;
   std::uint64_t seed = 1;
 
-  /// The run_* entry points, identical in behavior to the legacy free
-  /// functions of experiment.hpp (which now delegate here).
+  /// Generates `spec` from `seed`, loads it under `stack`, lets
+  /// `reading_window` seconds of reading elapse, and reports the
+  /// measurements.  A pure function of (spec, stack, reading_window, seed).
   SingleLoadResult run_single(const corpus::PageSpec& spec) const;
+  /// The Fig 4 comparator: pulls `bytes` through a raw socket, no browser
+  /// (uses only `stack`).
   BulkDownloadResult run_bulk(Bytes bytes) const;
+  /// Loads `spec` through a rendering proxy: one request, one compressed
+  /// bundle, one client-side unpack+display, radio released right after
+  /// the bundle (the proxy knows the page is complete).
   ProxyLoadResult run_proxy(const corpus::PageSpec& spec,
                             const ProxyConfig& proxy = {}) const;
 };
@@ -116,8 +125,8 @@ class ScenarioBuilder {
     scenario_.seed = seed;
     return *this;
   }
-  /// Wholesale replacement of the stack — the escape hatch the legacy
-  /// wrappers use, so pre-built StackConfigs still flow through build()'s
+  /// Wholesale replacement of the stack, so a pre-built StackConfig (for
+  /// example one a BatchJob carries) still flows through build()'s
   /// validation.
   ScenarioBuilder& stack(const StackConfig& stack) {
     scenario_.stack = stack;

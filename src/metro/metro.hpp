@@ -218,9 +218,4 @@ core::SupervisorReport run_metro_sweep(
     const std::function<void(std::size_t index, const MetroResult& result)>&
         consume);
 
-/// Per-cell users supported at `target` drop probability, linearly
-/// interpolated over ascending (users, drop) sweep points.
-double users_at_drop_target(const std::vector<int>& users_axis,
-                            const std::vector<double>& drops, double target);
-
 }  // namespace eab::metro

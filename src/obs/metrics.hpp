@@ -1,7 +1,7 @@
 // Metrics registry: named counters, gauges and histograms with a
 // deterministic merge.
 //
-// Each batch job (one run_single_load) snapshots its own registry from the
+// Each batch job (one Scenario::run_single) snapshots its own registry from the
 // component statistics it already tracks; core::BatchRunner merges the
 // per-job registries in submission order, so the engine-wide snapshot is
 // bit-identical whether the batch ran on one worker or sixteen.  Entries are

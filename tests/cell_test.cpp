@@ -1,7 +1,8 @@
-// Multi-UE shared-cell co-simulation: determinism (serial == sharded),
-// grant-pool accounting under exhaustion, the qualitative Fig 11 capacity
-// claim from first principles, a chaos sweep over cell scenarios, and the
-// checked-in service-time quantiles for the M/G/N satellite.
+// Multi-UE shared-cell co-simulation: determinism (serial == pooled ==
+// supervised sweeps, sharded == single event queue), grant-pool accounting
+// under exhaustion, the qualitative Fig 11 capacity claim from first
+// principles, a chaos sweep over cell scenarios, and the checked-in
+// service-time quantiles for the M/G/N satellite.
 #include "cell/cell.hpp"
 #include "cell/service_times.hpp"
 
@@ -12,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
+#include "core/scenario.hpp"
 #include "obs/audit.hpp"
 
 namespace eab::cell {
@@ -51,6 +52,24 @@ std::string fingerprint(const CellResult& r) {
   return out;
 }
 
+/// run_cell_sweep on `exec`, collected in axis order; every shard must land.
+std::vector<CellResult> sweep(const CellConfig& base,
+                              const std::vector<int>& axis,
+                              const core::SweepExecution& exec) {
+  std::vector<CellResult> results(axis.size());
+  const core::SupervisorReport report = run_cell_sweep(
+      base, axis, exec,
+      [&results](std::size_t i, const CellResult& r) { results[i] = r; });
+  EXPECT_TRUE(report.ok()) << report.summary();
+  return results;
+}
+
+std::vector<double> drops_of(const std::vector<CellResult>& results) {
+  std::vector<double> drops;
+  for (const CellResult& r : results) drops.push_back(r.drop_probability());
+  return drops;
+}
+
 TEST(CellTest, SameSeedSameResult) {
   const auto config = small_cell(browser::PipelineMode::kEnergyAware);
   const CellResult a = run_cell(config);
@@ -82,15 +101,13 @@ TEST(CellTest, ShardedEventQueuesAreBitIdenticalToSingleQueue) {
 TEST(CellTest, SweepSerialEqualsSharded) {
   const auto config = small_cell(browser::PipelineMode::kOriginal);
   const std::vector<int> axis{2, 4, 6};
-  core::BatchRunner serial(1);
   core::BatchRunner pooled(3);
-  const auto a = run_cell_sweep(config, axis, serial);
-  const auto b = run_cell_sweep(config, axis, pooled);
-  ASSERT_EQ(a.size(), axis.size());
-  ASSERT_EQ(b.size(), axis.size());
+  const auto a = sweep(config, axis, core::SweepExecution::serial());
+  const auto b = sweep(config, axis, core::SweepExecution::pooled(pooled));
   for (std::size_t i = 0; i < axis.size(); ++i) {
     EXPECT_EQ(a[i].users, axis[i]);
-    EXPECT_EQ(fingerprint(a[i]), fingerprint(b[i]));
+    EXPECT_EQ(serialize_cell_result(b[i]), serialize_cell_result(a[i]))
+        << "users=" << axis[i];
   }
 }
 
@@ -120,10 +137,13 @@ TEST(CellTest, SerializingTracedResultsIsRejected) {
   const CellResult traced = run_cell(config);
   EXPECT_THROW(serialize_cell_result(traced), std::invalid_argument);
 
+  // In-process tiers keep traces; only the supervised tier must refuse them.
+  const auto in_process = sweep(config, {2}, core::SweepExecution::serial());
+  EXPECT_NE(in_process[0].per_ue[0].trace, nullptr);
   core::Supervisor supervisor;
-  EXPECT_THROW(
-      run_cell_sweep_supervised(config, {2}, supervisor),
-      std::invalid_argument);
+  EXPECT_THROW(run_cell_sweep(config, {2},
+                              core::SweepExecution::supervised(supervisor), {}),
+               std::invalid_argument);
 }
 
 TEST(CellTest, SupervisedSweepIsBitIdenticalToInProcessSweep) {
@@ -132,15 +152,16 @@ TEST(CellTest, SupervisedSweepIsBitIdenticalToInProcessSweep) {
   // sweep.
   const auto config = small_cell(browser::PipelineMode::kOriginal);
   const std::vector<int> axis{2, 4, 6};
-  core::BatchRunner runner(1);
-  const auto reference = run_cell_sweep(config, axis, runner);
+  core::BatchRunner runner(2);
+  const auto reference =
+      sweep(config, axis, core::SweepExecution::pooled(runner));
 
   core::SupervisorConfig sup_config;
   sup_config.workers = 2;
   core::Supervisor supervisor(sup_config);
-  const auto supervised = run_cell_sweep_supervised(config, axis, supervisor);
+  const auto supervised =
+      sweep(config, axis, core::SweepExecution::supervised(supervisor));
 
-  ASSERT_EQ(supervised.size(), reference.size());
   for (std::size_t i = 0; i < axis.size(); ++i) {
     EXPECT_EQ(supervised[i].users, axis[i]);
     EXPECT_EQ(serialize_cell_result(supervised[i]),
@@ -192,14 +213,13 @@ TEST(CellTest, EnergyAwareAdmitsAtLeastAsManyUsersAtEqualDropTarget) {
   // Enough contention and enough sessions that the capacity gap clears the
   // run-to-run noise of a finite horizon (the bench sweeps a bigger cell).
   const std::vector<int> axis{3, 6, 9, 12, 15, 18};
-  core::BatchRunner runner(1);
 
   auto orig = small_cell(browser::PipelineMode::kOriginal);
   auto ea = small_cell(browser::PipelineMode::kEnergyAware);
   orig.channels = ea.channels = 3;
   orig.horizon = ea.horizon = 360.0;
-  const auto orig_results = run_cell_sweep(orig, axis, runner);
-  const auto ea_results = run_cell_sweep(ea, axis, runner);
+  const auto orig_results = sweep(orig, axis, core::SweepExecution::serial());
+  const auto ea_results = sweep(ea, axis, core::SweepExecution::serial());
 
   // Both drop curves are (weakly) monotone in #users...
   for (std::size_t i = 1; i < axis.size(); ++i) {
@@ -210,8 +230,9 @@ TEST(CellTest, EnergyAwareAdmitsAtLeastAsManyUsersAtEqualDropTarget) {
   }
   // ...and fast dormancy frees grants sooner, so the energy-aware pipeline
   // supports at least as many users at the 5 % service level (Fig 11).
-  const double cap_orig = users_at_drop_target(axis, orig_results, 0.05);
-  const double cap_ea = users_at_drop_target(axis, ea_results, 0.05);
+  const double cap_orig =
+      users_at_drop_target(axis, drops_of(orig_results), 0.05);
+  const double cap_ea = users_at_drop_target(axis, drops_of(ea_results), 0.05);
   EXPECT_GE(cap_ea, cap_orig);
   // Shorter holds also show up directly in the grant ledger.
   EXPECT_LT(ea_results.back().mean_grant_hold,
@@ -304,8 +325,8 @@ TEST(CellTest, OutageSweepSerialShardedSupervisedBitIdentical) {
 
     core::Supervisor supervisor(sup_config);
     const auto supervised =
-        run_cell_sweep_supervised(config, {config.users}, supervisor);
-    ASSERT_EQ(supervised.size(), 1u);
+        sweep(config, {config.users},
+              core::SweepExecution::supervised(supervisor));
     EXPECT_EQ(serialize_cell_result(supervised[0]), reference)
         << "seed " << seed << " supervised";
   }
@@ -361,8 +382,10 @@ TEST(ServiceTimeTest, MatchesDirectSingleLoads) {
   ASSERT_EQ(times.size(), specs.size());
   const auto stack =
       core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware);
+  // Default 20 s reading window and seed 1, as measure_service_times uses.
+  const auto direct_path = core::ScenarioBuilder().stack(stack).build();
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto direct = core::run_single_load(specs[i], stack, 20.0, 1);
+    const auto direct = direct_path.run_single(specs[i]);
     EXPECT_EQ(times[i], direct.metrics.transmission_time()) << specs[i].site;
   }
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/scenario.hpp"
 #include "corpus/page_spec.hpp"
 #include "util/rng.hpp"
 
@@ -60,12 +61,21 @@ void expect_identical(const SingleLoadResult& a, const SingleLoadResult& b) {
   EXPECT_EQ(a.features.to_row(), b.features.to_row());
 }
 
+/// The serial reference for one batch job: the same load, run directly.
+SingleLoadResult run_directly(const BatchJob& job) {
+  return ScenarioBuilder()
+      .stack(job.config)
+      .reading_window(job.reading_window)
+      .seed(job.seed)
+      .build()
+      .run_single(job.spec);
+}
+
 TEST(BatchRunner, ParallelMatchesSerialElementwise) {
   const auto jobs = sweep_jobs(8);
   std::vector<SingleLoadResult> serial;
   for (const auto& job : jobs) {
-    serial.push_back(
-        run_single_load(job.spec, job.config, job.reading_window, job.seed));
+    serial.push_back(run_directly(job));
   }
 
   BatchRunner runner(4);
@@ -132,9 +142,7 @@ TEST(BatchRunner, EabJobsOneDegradesToSerial) {
   ASSERT_EQ(results.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     SCOPED_TRACE(i);
-    const auto expected = run_single_load(jobs[i].spec, jobs[i].config,
-                                          jobs[i].reading_window, jobs[i].seed);
-    expect_identical(expected, results[i]);
+    expect_identical(run_directly(jobs[i]), results[i]);
   }
 }
 
@@ -204,7 +212,7 @@ TEST(BatchMemoKey, DistinguishesEveryKeyedInput) {
   EXPECT_EQ(key, batch_memo_key(base));  // and it is deterministic
 }
 
-/// A configuration run_single_load rejects up front (stalls with no
+/// A configuration Scenario::run_single rejects up front (stalls with no
 /// watchdog), used as the deliberately-throwing job in quarantine tests.
 BatchJob poisoned_job() {
   BatchJob job;
@@ -360,24 +368,24 @@ TEST(EnvParsing, SupervisionKnobsHonorWellFormedValues) {
   EXPECT_FALSE(bench::supervise_enabled());
 
   setenv("EAB_WORKERS", "8", 1);
-  EXPECT_EQ(bench::workers_from_env(), 8);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_WORKERS", 0), 8u);
   unsetenv("EAB_WORKERS");
-  EXPECT_EQ(bench::workers_from_env(), 0);  // 0 = resolve_workers default
+  EXPECT_EQ(bench::knobs().u64_or("EAB_WORKERS", 0), 0u);  // resolve default
 
   setenv("EAB_SELF_CHAOS", "12345", 1);
-  EXPECT_EQ(bench::self_chaos_seed_from_env(), 12345u);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_SELF_CHAOS", 0), 12345u);
   unsetenv("EAB_SELF_CHAOS");
-  EXPECT_EQ(bench::self_chaos_seed_from_env(), 0u);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_SELF_CHAOS", 0), 0u);
 
   setenv("EAB_SELF_CHAOS_KILLS", "4", 1);
-  EXPECT_EQ(bench::self_chaos_kills_from_env(), 4);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_SELF_CHAOS_KILLS", 0), 4u);
   unsetenv("EAB_SELF_CHAOS_KILLS");
-  EXPECT_EQ(bench::self_chaos_kills_from_env(), 0);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_SELF_CHAOS_KILLS", 0), 0u);
 
   setenv("EAB_SELF_CHAOS_ORC", "1", 1);
-  EXPECT_TRUE(bench::self_chaos_orchestrator_enabled());
+  EXPECT_TRUE(bench::knobs().flag("EAB_SELF_CHAOS_ORC"));
   unsetenv("EAB_SELF_CHAOS_ORC");
-  EXPECT_FALSE(bench::self_chaos_orchestrator_enabled());
+  EXPECT_FALSE(bench::knobs().flag("EAB_SELF_CHAOS_ORC"));
 
   setenv("EAB_CHECKPOINT_DIR", "/tmp/ckpt", 1);
   setenv("EAB_WORKERS", "3", 1);
@@ -402,34 +410,34 @@ TEST(EnvParsingDeathTest, MalformedSuperviseFlagDiesLoudly) {
 
 TEST(EnvParsingDeathTest, MalformedWorkerCountDiesLoudly) {
   setenv("EAB_WORKERS", "0", 1);
-  EXPECT_EXIT(bench::workers_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_WORKERS");
+  EXPECT_EXIT(bench::knobs().u64_or("EAB_WORKERS", 0),
+              ::testing::ExitedWithCode(2), "EAB_WORKERS");
   setenv("EAB_WORKERS", "2000", 1);
-  EXPECT_EXIT(bench::workers_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_WORKERS");
+  EXPECT_EXIT(bench::knobs().u64_or("EAB_WORKERS", 0),
+              ::testing::ExitedWithCode(2), "EAB_WORKERS");
   setenv("EAB_WORKERS", "two", 1);
-  EXPECT_EXIT(bench::workers_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_WORKERS");
+  EXPECT_EXIT(bench::knobs().u64_or("EAB_WORKERS", 0),
+              ::testing::ExitedWithCode(2), "EAB_WORKERS");
   unsetenv("EAB_WORKERS");
 }
 
 TEST(EnvParsingDeathTest, MalformedSelfChaosSeedDiesLoudly) {
   setenv("EAB_SELF_CHAOS", "-1", 1);
-  EXPECT_EXIT(bench::self_chaos_seed_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_SELF_CHAOS");
+  EXPECT_EXIT(bench::knobs().u64_or("EAB_SELF_CHAOS", 0),
+              ::testing::ExitedWithCode(2), "EAB_SELF_CHAOS");
   unsetenv("EAB_SELF_CHAOS");
 }
 
 TEST(EnvParsingDeathTest, OversizedSelfChaosKillsDiesLoudly) {
   setenv("EAB_SELF_CHAOS_KILLS", "65", 1);
-  EXPECT_EXIT(bench::self_chaos_kills_from_env(),
+  EXPECT_EXIT(bench::knobs().u64_or("EAB_SELF_CHAOS_KILLS", 0),
               ::testing::ExitedWithCode(2), "EAB_SELF_CHAOS_KILLS");
   unsetenv("EAB_SELF_CHAOS_KILLS");
 }
 
 TEST(EnvParsingDeathTest, MalformedOrchestratorChaosFlagDiesLoudly) {
   setenv("EAB_SELF_CHAOS_ORC", "maybe", 1);
-  EXPECT_EXIT(bench::self_chaos_orchestrator_enabled(),
+  EXPECT_EXIT(bench::knobs().flag("EAB_SELF_CHAOS_ORC"),
               ::testing::ExitedWithCode(2), "EAB_SELF_CHAOS_ORC");
   unsetenv("EAB_SELF_CHAOS_ORC");
 }
@@ -453,11 +461,11 @@ TEST(EnvParsing, TelemetryKnobsHonorWellFormedValues) {
   EXPECT_EQ(bench::telemetry_budget_from_env(), 256u);
 
   setenv("EAB_PROGRESS", "1", 1);
-  EXPECT_TRUE(bench::progress_enabled());
+  EXPECT_TRUE(bench::knobs().flag("EAB_PROGRESS"));
   setenv("EAB_PROGRESS", "0", 1);
-  EXPECT_FALSE(bench::progress_enabled());
+  EXPECT_FALSE(bench::knobs().flag("EAB_PROGRESS"));
   unsetenv("EAB_PROGRESS");
-  EXPECT_FALSE(bench::progress_enabled());
+  EXPECT_FALSE(bench::knobs().flag("EAB_PROGRESS"));
 }
 
 TEST(EnvParsingDeathTest, MalformedTelemetryFlagDiesLoudly) {
@@ -492,8 +500,8 @@ TEST(EnvParsingDeathTest, OutOfRangeTelemetryBudgetDiesLoudly) {
 
 TEST(EnvParsingDeathTest, MalformedProgressFlagDiesLoudly) {
   setenv("EAB_PROGRESS", "on", 1);
-  EXPECT_EXIT(bench::progress_enabled(), ::testing::ExitedWithCode(2),
-              "EAB_PROGRESS");
+  EXPECT_EXIT(bench::knobs().flag("EAB_PROGRESS"),
+              ::testing::ExitedWithCode(2), "EAB_PROGRESS");
   unsetenv("EAB_PROGRESS");
 }
 

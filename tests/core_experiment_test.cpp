@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scenario.hpp"
+
 namespace eab::core {
 namespace {
+
+using browser::PipelineMode;
+
+/// A built scenario over StackConfig::for_mode(mode), default window/seed.
+Scenario scenario_for(PipelineMode mode) {
+  return ScenarioBuilder().stack(StackConfig::for_mode(mode)).build();
+}
 
 TEST(Experiment, StackConfigForModeSetsForcedRelease) {
   const auto orig = StackConfig::for_mode(browser::PipelineMode::kOriginal);
@@ -14,9 +23,8 @@ TEST(Experiment, StackConfigForModeSetsForcedRelease) {
 }
 
 TEST(Experiment, SingleLoadProducesConsistentMeasurements) {
-  const auto result = run_single_load(
-      corpus::m_cnn_spec(),
-      StackConfig::for_mode(browser::PipelineMode::kOriginal));
+  const auto result =
+      scenario_for(PipelineMode::kOriginal).run_single(corpus::m_cnn_spec());
   EXPECT_GT(result.metrics.transmission_time(), 0.0);
   EXPECT_GE(result.metrics.total_time(), result.metrics.transmission_time());
   EXPECT_GT(result.energy.load_j, 0.0);
@@ -29,16 +37,18 @@ TEST(Experiment, SingleLoadProducesConsistentMeasurements) {
 }
 
 TEST(Experiment, EnergyAwareForcesExactlyOneRelease) {
-  const auto result = run_single_load(
-      corpus::m_cnn_spec(),
-      StackConfig::for_mode(browser::PipelineMode::kEnergyAware));
+  const auto result =
+      scenario_for(PipelineMode::kEnergyAware).run_single(corpus::m_cnn_spec());
   EXPECT_EQ(result.forced_releases, 1);
 }
 
 TEST(Experiment, EnergyIntegralMatchesPowerTimeline) {
-  const auto result = run_single_load(
-      corpus::m_cnn_spec(),
-      StackConfig::for_mode(browser::PipelineMode::kOriginal), 20.0);
+  const auto result =
+      ScenarioBuilder()
+          .stack(StackConfig::for_mode(browser::PipelineMode::kOriginal))
+          .reading_window(20.0)
+          .build()
+          .run_single(corpus::m_cnn_spec());
   EXPECT_NEAR(result.energy.load_j,
               result.total_power.energy(0, result.metrics.final_display), 1e-9);
   EXPECT_NEAR(
@@ -47,9 +57,13 @@ TEST(Experiment, EnergyIntegralMatchesPowerTimeline) {
 }
 
 TEST(Experiment, DeterministicForSeed) {
-  const auto config = StackConfig::for_mode(browser::PipelineMode::kOriginal);
-  const auto a = run_single_load(corpus::m_cnn_spec(), config, 20.0, 5);
-  const auto b = run_single_load(corpus::m_cnn_spec(), config, 20.0, 5);
+  const Scenario scenario =
+      ScenarioBuilder()
+          .stack(StackConfig::for_mode(browser::PipelineMode::kOriginal))
+          .seed(5)
+          .build();
+  const auto a = scenario.run_single(corpus::m_cnn_spec());
+  const auto b = scenario.run_single(corpus::m_cnn_spec());
   EXPECT_DOUBLE_EQ(a.energy.load_j, b.energy.load_j);
   EXPECT_DOUBLE_EQ(a.metrics.final_display, b.metrics.final_display);
   EXPECT_EQ(a.dom_signature, b.dom_signature);
@@ -59,10 +73,8 @@ TEST(Experiment, HeadlineResultHolds) {
   // The paper's core claim on its featured page: the energy-aware approach
   // cuts transmission time and total energy substantially (Figs 8-10).
   const auto spec = corpus::espn_sports_spec();
-  const auto orig = run_single_load(
-      spec, StackConfig::for_mode(browser::PipelineMode::kOriginal));
-  const auto ea = run_single_load(
-      spec, StackConfig::for_mode(browser::PipelineMode::kEnergyAware));
+  const auto orig = scenario_for(PipelineMode::kOriginal).run_single(spec);
+  const auto ea = scenario_for(PipelineMode::kEnergyAware).run_single(spec);
 
   EXPECT_EQ(orig.dom_signature, ea.dom_signature);
   EXPECT_EQ(orig.bytes_fetched, ea.bytes_fetched);
@@ -81,9 +93,9 @@ TEST(Experiment, HeadlineResultHolds) {
 
 TEST(Experiment, BulkDownloadFasterThanBrowserLoad) {
   const auto spec = corpus::espn_sports_spec();
-  const auto config = StackConfig::for_mode(browser::PipelineMode::kOriginal);
-  const auto load = run_single_load(spec, config);
-  const auto bulk = run_bulk_download(load.bytes_fetched, config);
+  const Scenario scenario = scenario_for(PipelineMode::kOriginal);
+  const auto load = scenario.run_single(spec);
+  const auto bulk = scenario.run_bulk(load.bytes_fetched);
   // Fig 4: the socket groups all transmissions; the browser spreads them.
   EXPECT_LT(bulk.duration(), load.metrics.transmission_time() * 0.7);
   EXPECT_GT(bulk.energy, 0.0);
@@ -94,10 +106,8 @@ TEST(Experiment, ReadingWindowEnergyDependsOnRadioPolicy) {
   // chain (FACH power for much of it), while the energy-aware stack already
   // released — the per-window energy gap is why Fig 10 shows 30 %+ savings.
   const auto spec = corpus::m_cnn_spec();
-  const auto orig = run_single_load(
-      spec, StackConfig::for_mode(browser::PipelineMode::kOriginal));
-  const auto ea = run_single_load(
-      spec, StackConfig::for_mode(browser::PipelineMode::kEnergyAware));
+  const auto orig = scenario_for(PipelineMode::kOriginal).run_single(spec);
+  const auto ea = scenario_for(PipelineMode::kEnergyAware).run_single(spec);
   const Joules orig_reading = orig.energy.with_reading_j - orig.energy.load_j;
   const Joules ea_reading = ea.energy.with_reading_j - ea.energy.load_j;
   EXPECT_GT(orig_reading, ea_reading * 2.0);

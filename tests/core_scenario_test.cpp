@@ -51,26 +51,6 @@ TEST(ScenarioBuilder, DefaultRunParameters) {
   EXPECT_EQ(scenario.seed, 1u);
 }
 
-TEST(ScenarioBuilder, RunSingleEqualsLegacyFreeFunction) {
-  // The fig10 regression in miniature: the builder path and the legacy
-  // wrapper must produce bit-identical results.
-  const corpus::PageSpec page = corpus::m_cnn_spec();
-  for (const auto mode : {browser::PipelineMode::kOriginal,
-                          browser::PipelineMode::kEnergyAware}) {
-    const SingleLoadResult via_builder =
-        ScenarioBuilder(mode).build().run_single(page);
-    const SingleLoadResult via_legacy =
-        run_single_load(page, StackConfig::for_mode(mode));
-    EXPECT_EQ(via_builder.energy.load_j, via_legacy.energy.load_j);
-    EXPECT_EQ(via_builder.energy.with_reading_j,
-              via_legacy.energy.with_reading_j);
-    EXPECT_EQ(via_builder.energy.radio_j, via_legacy.energy.radio_j);
-    EXPECT_EQ(via_builder.energy.window_s, via_legacy.energy.window_s);
-    EXPECT_EQ(via_builder.sim_events, via_legacy.sim_events);
-    EXPECT_EQ(via_builder.dom_signature, via_legacy.dom_signature);
-  }
-}
-
 TEST(ScenarioBuilder, RejectsZeroEventBudget) {
   EXPECT_THROW(ScenarioBuilder().sim_event_budget(0).build(),
                std::invalid_argument);
@@ -108,13 +88,12 @@ TEST(ScenarioBuilder, RejectsNonsenseKnobs) {
   EXPECT_THROW(ScenarioBuilder().retry(retry).build(), std::invalid_argument);
 }
 
-TEST(ScenarioBuilder, LegacyWrappersValidateToo) {
-  // run_single_load routes through build(): the same contradictory config
-  // is rejected no matter which entry point assembled it.
+TEST(ScenarioBuilder, WholesaleStackValidatesToo) {
+  // A pre-built StackConfig handed over through stack() passes the same
+  // build() checks as one assembled knob by knob.
   StackConfig config;
   config.sim_event_budget = 0;
-  EXPECT_THROW(run_single_load(corpus::m_cnn_spec(), config),
-               std::invalid_argument);
+  EXPECT_THROW(ScenarioBuilder().stack(config).build(), std::invalid_argument);
 }
 
 TEST(ScenarioBuilder, BuildSessionUnifiesRilDirective) {

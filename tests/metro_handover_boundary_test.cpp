@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "radio/rrc.hpp"
 #include "sim/simulator.hpp"
+#include "support/boundary_matrix.hpp"
 #include "util/rng.hpp"
 
 namespace eab::metro {
@@ -115,21 +116,14 @@ void expect_clean(MetroRig& rig, const char* context) {
   EXPECT_TRUE(report.ok()) << context << "\n" << report.summary();
 }
 
-/// Move instants for one mode: a hair after every distinct fetch-settle of
-/// a clean reference run, one likely-idle early instant, and one instant
-/// past the reference workload.
+/// Move instants for one mode: one likely-idle early instant, one instant
+/// halfway through the reference workload, and a hair after every distinct
+/// fetch-settle of a clean reference run.
 std::vector<Seconds> boundaries_for(browser::PipelineMode mode) {
   MetroRig reference(mode);
   reference.sim.run();
-  std::vector<Seconds> times = {0.5, reference.sim.now() * 0.5};
-  for (const obs::TraceEvent& e : reference.ue->trace->events()) {
-    if (e.kind == obs::TraceKind::kHttpFetchSettled) {
-      times.push_back(e.t + 1e-6);
-    }
-  }
-  std::sort(times.begin(), times.end());
-  times.erase(std::unique(times.begin(), times.end()), times.end());
-  return times;
+  return test::settle_instants(*reference.ue->trace,
+                               {0.5, reference.sim.now() * 0.5});
 }
 
 TEST(MetroHandoverBoundaryTest, MoveAtEveryFetchSettleLeavesNoResidue) {

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/batch.hpp"
-#include "core/experiment.hpp"
+#include "core/scenario.hpp"
 #include "corpus/page_spec.hpp"
 #include "net/http_client.hpp"
 
@@ -384,6 +384,15 @@ core::StackConfig faulted_config(browser::PipelineMode mode) {
   return config;
 }
 
+core::Scenario scenario_of(const core::StackConfig& config,
+                           Seconds reading_window, std::uint64_t seed) {
+  return core::ScenarioBuilder()
+      .stack(config)
+      .reading_window(reading_window)
+      .seed(seed)
+      .build();
+}
+
 bool same_result(const core::SingleLoadResult& a,
                  const core::SingleLoadResult& b) {
   return a.metrics.total_time() == b.metrics.total_time() &&
@@ -416,8 +425,9 @@ TEST(FaultDeterminism, SerialParallelAndMemoReplayAreBitIdentical) {
 
   std::vector<core::SingleLoadResult> serial;
   for (const auto& job : jobs) {
-    serial.push_back(core::run_single_load(job.spec, job.config,
-                                           job.reading_window, job.seed));
+    serial.push_back(
+        scenario_of(job.config, job.reading_window, job.seed)
+            .run_single(job.spec));
   }
   core::BatchRunner runner(3);  // force a real pool
   const auto parallel = runner.run(jobs);
@@ -457,8 +467,8 @@ TEST(FaultDeterminism, ZeroFaultPlanMatchesNoPlanBitForBit) {
     auto zeroed = plain;
     zeroed.fault_plan = net::FaultPlan{};  // disabled by construction
     zeroed.fault_plan.seed = 999;  // a disabled plan's seed must not leak
-    const auto a = core::run_single_load(spec, plain, 10.0, 5);
-    const auto b = core::run_single_load(spec, zeroed, 10.0, 5);
+    const auto a = scenario_of(plain, 10.0, 5).run_single(spec);
+    const auto b = scenario_of(zeroed, 10.0, 5).run_single(spec);
     EXPECT_TRUE(same_result(a, b));
     EXPECT_EQ(a.sim_events, b.sim_events);  // not one extra event scheduled
     EXPECT_EQ(a.fetch_retries, 0);
@@ -470,8 +480,12 @@ TEST(FaultDeterminism, StallWithoutWatchdogIsRejected) {
   auto config = core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
   config.fault_plan.stall_rate = 0.5;
   config.retry.request_timeout = 0.0;
-  EXPECT_THROW(core::run_single_load(corpus::mobile_benchmark()[0], config,
-                                     5.0, 1),
+  EXPECT_THROW(core::ScenarioBuilder().stack(config).build(),
+               std::invalid_argument);
+  // A Scenario is plain data and may skip build(); the run path checks too.
+  core::Scenario unchecked;
+  unchecked.stack = config;
+  EXPECT_THROW(unchecked.run_single(corpus::mobile_benchmark()[0]),
                std::invalid_argument);
 }
 
@@ -489,7 +503,7 @@ TEST(FaultedPipeline, LoadsFinishGracefullyUnderHeavyLoss) {
     config.retry.request_timeout = 6.0;
     config.retry.max_retries = 1;
 
-    const auto result = core::run_single_load(specs[0], config, 5.0, 9);
+    const auto result = scenario_of(config, 5.0, 9).run_single(specs[0]);
     // The load settled with a final display despite the carnage...
     EXPECT_GT(result.metrics.final_display, 0.0);
     EXPECT_GE(result.metrics.final_display, result.metrics.transmission_done);
@@ -509,8 +523,9 @@ TEST(FaultedPipeline, DegradedLoadIsDeterministic) {
   config.fault_plan.connection_loss_rate = 0.2;
   config.retry.request_timeout = 6.0;
   const auto spec = corpus::full_benchmark()[1];
-  const auto a = core::run_single_load(spec, config, 5.0, 4);
-  const auto b = core::run_single_load(spec, config, 5.0, 4);
+  const core::Scenario scenario = scenario_of(config, 5.0, 4);
+  const auto a = scenario.run_single(spec);
+  const auto b = scenario.run_single(spec);
   EXPECT_TRUE(same_result(a, b));
   EXPECT_EQ(a.dom_signature, b.dom_signature);
 }

@@ -405,16 +405,20 @@ TEST(CellTelemetryTest, SupervisedSweepCarriesSeriesBitIdentically) {
   // supervised sweep, series included, byte for byte.
   const auto config = telemetry_cell(5.0);
   const std::vector<int> axis{2, 4, 6};
-  core::BatchRunner runner(1);
-  const auto reference = cell::run_cell_sweep(config, axis, runner);
+  std::vector<cell::CellResult> reference(axis.size());
+  cell::run_cell_sweep(
+      config, axis, core::SweepExecution::serial(),
+      [&](std::size_t i, const cell::CellResult& r) { reference[i] = r; });
 
   core::SupervisorConfig sup_config;
   sup_config.workers = 2;
   core::Supervisor supervisor(sup_config);
-  const auto supervised =
-      cell::run_cell_sweep_supervised(config, axis, supervisor);
+  std::vector<cell::CellResult> supervised(axis.size());
+  const core::SupervisorReport report = cell::run_cell_sweep(
+      config, axis, core::SweepExecution::supervised(supervisor),
+      [&](std::size_t i, const cell::CellResult& r) { supervised[i] = r; });
+  ASSERT_TRUE(report.ok()) << report.summary();
 
-  ASSERT_EQ(supervised.size(), reference.size());
   for (std::size_t i = 0; i < axis.size(); ++i) {
     ASSERT_NE(reference[i].telemetry, nullptr) << "users=" << axis[i];
     ASSERT_NE(supervised[i].telemetry, nullptr) << "users=" << axis[i];

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/batch.hpp"
+#include "core/scenario.hpp"
 #include "core/session.hpp"
 #include "obs/audit.hpp"
 #include "obs/chrome_trace.hpp"
@@ -58,6 +59,16 @@ core::StackConfig faulty_config(browser::PipelineMode mode) {
   config.retry.backoff_initial = 0.5;
   config.retry.backoff_factor = 2.0;
   return config;
+}
+
+/// `config` through the builder with the suite's 5 s reading window.
+core::Scenario scenario_of(const core::StackConfig& config,
+                           std::uint64_t seed = 1) {
+  return core::ScenarioBuilder()
+      .stack(config)
+      .reading_window(5.0)
+      .seed(seed)
+      .build();
 }
 
 AuditInputs inputs_for(const core::StackConfig& config,
@@ -168,8 +179,8 @@ TEST(ObsIdentity, TracingChangesNoResult) {
                           browser::PipelineMode::kEnergyAware}) {
     auto plain_cfg = core::StackConfig::for_mode(mode);
     const auto traced_cfg = traced_config(mode);
-    const auto plain = core::run_single_load(spec, plain_cfg, 5.0, 1);
-    const auto traced = core::run_single_load(spec, traced_cfg, 5.0, 1);
+    const auto plain = scenario_of(plain_cfg).run_single(spec);
+    const auto traced = scenario_of(traced_cfg).run_single(spec);
     EXPECT_EQ(plain.trace, nullptr);
     ASSERT_NE(traced.trace, nullptr);
     EXPECT_GT(traced.trace->size(), 0u);
@@ -195,8 +206,8 @@ TEST(ObsIdentity, FaultInjectedTracingChangesNoResult) {
   auto plain_cfg = faulty_config(browser::PipelineMode::kEnergyAware);
   plain_cfg.trace = false;
   const auto traced_cfg = faulty_config(browser::PipelineMode::kEnergyAware);
-  const auto plain = core::run_single_load(spec, plain_cfg, 5.0, 1);
-  const auto traced = core::run_single_load(spec, traced_cfg, 5.0, 1);
+  const auto plain = scenario_of(plain_cfg).run_single(spec);
+  const auto traced = scenario_of(traced_cfg).run_single(spec);
   EXPECT_EQ(plain.sim_events, traced.sim_events);
   EXPECT_EQ(plain.energy.load_j, traced.energy.load_j);
   EXPECT_EQ(plain.fetch_retries, traced.fetch_retries);
@@ -208,7 +219,7 @@ TEST(Audit, CleanLoadsPassBothPipelines) {
   for (const auto mode : {browser::PipelineMode::kOriginal,
                           browser::PipelineMode::kEnergyAware}) {
     const auto config = traced_config(mode);
-    const auto r = core::run_single_load(spec, config, 5.0, 1);
+    const auto r = scenario_of(config).run_single(spec);
     ASSERT_NE(r.trace, nullptr);
     const auto report = TraceAuditor().audit(*r.trace, inputs_for(config, r));
     EXPECT_TRUE(report.ok()) << report.summary();
@@ -224,7 +235,7 @@ TEST(Audit, FaultySweepPasses) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     auto config = faulty_config(browser::PipelineMode::kEnergyAware);
     config.fault_plan.seed = seed;
-    const auto r = core::run_single_load(tiny_spec(2), config, 5.0, seed);
+    const auto r = scenario_of(config, seed).run_single(tiny_spec(2));
     ASSERT_NE(r.trace, nullptr);
     const auto report = TraceAuditor().audit(*r.trace, inputs_for(config, r));
     EXPECT_TRUE(report.ok()) << "seed " << seed << ":\n" << report.summary();
@@ -302,7 +313,7 @@ TEST(Audit, RejectsLeakedTransferMarker) {
 
 TEST(Audit, RejectsTamperedEnergy) {
   const auto config = traced_config(browser::PipelineMode::kEnergyAware);
-  const auto r = core::run_single_load(tiny_spec(0), config, 5.0, 1);
+  const auto r = scenario_of(config).run_single(tiny_spec(0));
   auto inputs = inputs_for(config, r);
   EXPECT_TRUE(TraceAuditor().audit(*r.trace, inputs).ok());
   inputs.radio_energy += 5.0;  // claim 5 J the events cannot explain
@@ -382,7 +393,7 @@ TEST(Batch, TraceFlagIsPartOfMemoKey) {
 
 TEST(ChromeTrace, ExportsParseableRecords) {
   const auto config = traced_config(browser::PipelineMode::kEnergyAware);
-  const auto r = core::run_single_load(tiny_spec(0), config, 5.0, 1);
+  const auto r = scenario_of(config).run_single(tiny_spec(0));
   const std::string json = chrome_trace_json(*r.trace, r.energy.window_s);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);

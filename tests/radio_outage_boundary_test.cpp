@@ -9,118 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <vector>
 
-#include "browser/cpu.hpp"
-#include "browser/pipeline.hpp"
-#include "core/ril.hpp"
-#include "corpus/generator.hpp"
-#include "net/http_client.hpp"
-#include "net/outage.hpp"
-#include "net/shared_link.hpp"
-#include "net/web_server.hpp"
 #include "obs/audit.hpp"
-#include "obs/trace.hpp"
-#include "radio/rrc.hpp"
-#include "sim/simulator.hpp"
+#include "support/boundary_matrix.hpp"
 
 namespace eab {
 namespace {
 
-corpus::PageSpec outage_spec() {
-  corpus::PageSpec spec;
-  spec.site = "outage.example";
-  spec.mobile = false;
-  spec.html_bytes = kilobytes(10);
-  spec.css_files = 2;
-  spec.css_bytes = kilobytes(3);
-  spec.css_images = 2;
-  spec.css_image_bytes = kilobytes(2);
-  spec.js_files = 2;
-  spec.js_bytes = kilobytes(2);
-  spec.js_busy_iterations = 300;
-  spec.js_images = 1;
-  spec.js_image_bytes = kilobytes(2);
-  spec.html_images = 6;
-  spec.image_bytes = kilobytes(4);
-  spec.anchors = 6;
-  spec.paragraphs = 8;
-  return spec;
-}
+using test::Stack;
 
-/// The full single-load stack plus a manually-driven outage injector (its
-/// plan is disabled, so nothing is scheduled; tests call coverage_lost /
-/// coverage_restored at the instants under test).
-struct Stack {
-  sim::Simulator sim;
-  net::WebServer server;
-  radio::RrcConfig rrc_config;
-  radio::RadioPowerModel power;
-  radio::LinkConfig link_config;
-  radio::RrcMachine rrc;
-  net::SharedLink link;
-  net::HttpClient client;
-  browser::CpuScheduler cpu;
-  core::RilStateSwitcher ril;
-  net::OutageInjector outage;
-  obs::TraceRecorder trace;
-  browser::PageLoad load;
-  std::string url;
-  int done_count = 0;
-  browser::LoadMetrics metrics;
-
-  explicit Stack(browser::PipelineMode mode)
-      : rrc(sim, rrc_config, power),
-        link(sim, link_config.dch_bandwidth),
-        client(sim, server, link, rrc, link_config),
-        cpu(sim, power.cpu_busy_extra),
-        ril(sim, rrc),
-        outage(sim, link, rrc, radio::OutagePlan{}),
-        load(sim, client, cpu,
-             [mode] {
-               browser::PipelineConfig config;
-               config.mode = mode;
-               return config;
-             }(),
-             1234) {
-    corpus::PageGenerator generator(1);
-    url = generator.host_page(outage_spec(), server);
-    if (mode == browser::PipelineMode::kEnergyAware) {
-      load.set_on_transmission_complete([this] { ril.request_idle(); });
-    }
-    // The RLF hook mirrors the assembly paths: the client settles its
-    // in-flight attempts (releasing transfer markers) inside the declaration.
-    rrc.set_on_rlf([this] { client.on_radio_lost(); });
-    rrc.set_trace(&trace);
-    link.set_trace(&trace);
-    client.set_trace(&trace);
-    ril.set_trace(&trace);
-    outage.set_trace(&trace);
-    load.set_trace(&trace);
-  }
-
-  void start() {
-    load.start(url, [this](const browser::LoadMetrics& m) {
-      ++done_count;
-      metrics = m;
-    });
-  }
-
-  /// Schedules one coverage hole [at, at + duration).  The default duration
-  /// outlasts the T313 detection window (rrc_config.rlf_detect = 1 s), so
-  /// the hole always declares RLF when an RRC connection is up.
-  void hole_at(Seconds at, Seconds duration = 1.5) {
-    sim.schedule_at(at, [this] { outage.coverage_lost(); });
-    sim.schedule_at(at + duration, [this] { outage.coverage_restored(); });
-  }
-
-  void run_to_done() {
-    while (done_count == 0 && sim.step()) {
-    }
-    ASSERT_EQ(done_count, 1);
-  }
-};
+constexpr const char* kSite = "outage.example";
 
 /// Asserts the whole stack is residue-free, drains the radio timers, and
 /// replays the recording through the cross-layer auditor.
@@ -149,63 +50,31 @@ void expect_clean_teardown(Stack& stack, const char* context) {
   EXPECT_TRUE(report.ok()) << context << "\n" << report.summary();
 }
 
-/// Coverage-hole instants for one mode: just inside the first fetch, then a
-/// hair after every distinct fetch-settle time of a clean reference run.
-const std::vector<Seconds>& boundaries_for(browser::PipelineMode mode) {
-  static std::map<browser::PipelineMode, std::vector<Seconds>> cache;
-  auto it = cache.find(mode);
-  if (it != cache.end()) return it->second;
-
-  Stack reference(mode);
-  reference.start();
-  reference.run_to_done();
-  std::vector<Seconds> times = {0.05};
-  for (const obs::TraceEvent& e : reference.trace.events()) {
-    if (e.kind == obs::TraceKind::kHttpFetchSettled) {
-      times.push_back(e.t + 1e-6);
-    }
-  }
-  std::sort(times.begin(), times.end());
-  times.erase(std::unique(times.begin(), times.end()), times.end());
-  return cache.emplace(mode, std::move(times)).first->second;
-}
-
-class OutageAtBoundary : public ::testing::TestWithParam<int> {};
+class OutageAtBoundary
+    : public ::testing::TestWithParam<test::BoundaryCase> {};
 
 TEST_P(OutageAtBoundary, DegradedSessionLeavesNoResidue) {
-  const int index = GetParam();
-  bool exercised = false;
-  for (const browser::PipelineMode mode :
-       {browser::PipelineMode::kOriginal, browser::PipelineMode::kEnergyAware}) {
-    const std::vector<Seconds>& boundaries = boundaries_for(mode);
-    if (index >= static_cast<int>(boundaries.size())) continue;
-    exercised = true;
-    const Seconds hole_at = boundaries[static_cast<std::size_t>(index)];
+  const auto [mode, hole_at] = GetParam();
+  Stack stack(mode, kSite);
+  stack.start();
+  stack.hole_at(hole_at);
+  stack.run_to_done();
 
-    Stack stack(mode);
-    stack.start();
-    stack.hole_at(hole_at);
-    stack.run_to_done();
-
-    char context[96];
-    std::snprintf(context, sizeof context, "mode=%d hole_at=%.6f",
-                  static_cast<int>(mode), hole_at);
-    expect_clean_teardown(stack, context);
-  }
-  if (!exercised) {
-    GTEST_SKIP() << "no fetch boundary with index " << index;
-  }
+  char context[96];
+  std::snprintf(context, sizeof context, "mode=%d hole_at=%.6f",
+                static_cast<int>(mode), hole_at);
+  expect_clean_teardown(stack, context);
 }
 
 INSTANTIATE_TEST_SUITE_P(EveryFetchBoundary, OutageAtBoundary,
-                         ::testing::Range(0, 28));
+                         ::testing::ValuesIn(test::boundary_cases(kSite)));
 
 /// One deterministic instant inside every RRC state and signalling phase a
 /// clean reference run visits: the midpoint of each state's first residency
 /// span, plus the midpoint of the first promotion and the first release
 /// signalling exchange.
 std::vector<Seconds> state_instants_for(browser::PipelineMode mode) {
-  Stack reference(mode);
+  Stack reference(mode, kSite);
   reference.start();
   reference.run_to_done();
   const Seconds t_end = reference.metrics.final_display + 25.0;
@@ -259,7 +128,7 @@ TEST(OutageAtEveryRrcState, DegradedSessionLeavesNoResidue) {
     ASSERT_GE(instants.size(), 3u) << "reference run must visit IDLE, a "
                                       "promotion and DCH at minimum";
     for (const Seconds at : instants) {
-      Stack stack(mode);
+      Stack stack(mode, kSite);
       stack.start();
       stack.hole_at(at);
       stack.run_to_done();
@@ -275,7 +144,7 @@ TEST(OutageAtEveryRrcState, DegradedSessionLeavesNoResidue) {
 TEST(OutageRecovery, ShortFadeIsAbsorbedWithoutRlf) {
   // A hole shorter than the T313 detection window must be invisible to the
   // RRC layer: no RLF, no OUT_OF_SERVICE residency, load completes.
-  Stack stack(browser::PipelineMode::kOriginal);
+  Stack stack(browser::PipelineMode::kOriginal, kSite);
   stack.start();
   stack.hole_at(0.5, /*duration=*/0.4);  // rlf_detect defaults to 1 s
   stack.run_to_done();
@@ -289,7 +158,7 @@ TEST(OutageRecovery, ShortFadeIsAbsorbedWithoutRlf) {
 /// the remaining sub-resources are still transferring).
 Seconds mid_dch_instant() {
   const std::vector<Seconds>& boundaries =
-      boundaries_for(browser::PipelineMode::kOriginal);
+      test::boundaries_for(browser::PipelineMode::kOriginal, kSite);
   EXPECT_GE(boundaries.size(), 2u);
   return boundaries[1];
 }
@@ -298,7 +167,7 @@ TEST(OutageRecovery, RlfMidLoadReestablishesAndSettlesRadioLost) {
   // A hole that outlasts T313 mid-DCH declares RLF: the in-flight fetches
   // settle as radio-lost (then re-queue under the retry budget), the UE
   // camps OUT_OF_SERVICE, and re-establishment brings the session back.
-  Stack stack(browser::PipelineMode::kOriginal);
+  Stack stack(browser::PipelineMode::kOriginal, kSite);
   stack.start();
   stack.hole_at(mid_dch_instant());
   stack.run_to_done();
@@ -311,7 +180,7 @@ TEST(OutageRecovery, RlfMidLoadReestablishesAndSettlesRadioLost) {
 TEST(OutageRecovery, RlfWithExhaustedRetryBudgetSettlesRadioLost) {
   // With no retry budget the attempts in flight at the RLF cannot re-queue:
   // they must settle as radio-lost and the load must finish degraded.
-  Stack stack(browser::PipelineMode::kOriginal);
+  Stack stack(browser::PipelineMode::kOriginal, kSite);
   net::RetryPolicy no_retries;
   no_retries.max_retries = 0;
   stack.client.set_retry_policy(no_retries);
@@ -337,7 +206,7 @@ TEST(OutageRecovery, ExhaustedReestablishmentReleasesContextAndStillFinishes) {
   // UE releases the RRC context and drops to IDLE.  The load must still
   // settle (degraded or via retries through a fresh promotion) with zero
   // residue and an audit-clean recording.
-  Stack stack(browser::PipelineMode::kOriginal);
+  Stack stack(browser::PipelineMode::kOriginal, kSite);
   stack.rrc.set_reestablish_decider([](int) { return false; });
   stack.start();
   stack.hole_at(mid_dch_instant());

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.hpp"
+#include "core/scenario.hpp"
 #include "corpus/page_spec.hpp"
 
 namespace eab::radio {
 namespace {
+
+/// `config` through the builder, default reading window and seed.
+core::Scenario scenario_of(const core::StackConfig& config) {
+  return core::ScenarioBuilder().stack(config).build();
+}
 
 TEST(Profiles, UmtsIsTheLibraryDefault) {
   const RadioProfile umts = umts_profile();
@@ -49,8 +54,8 @@ TEST(Profiles, PagesLoadFasterOnLte) {
   lte_cfg.link = lte.link;
 
   const auto spec = corpus::m_cnn_spec();
-  const auto on_umts = core::run_single_load(spec, umts_cfg);
-  const auto on_lte = core::run_single_load(spec, lte_cfg);
+  const auto on_umts = scenario_of(umts_cfg).run_single(spec);
+  const auto on_lte = scenario_of(lte_cfg).run_single(spec);
   EXPECT_LT(on_lte.metrics.total_time(), on_umts.metrics.total_time());
   EXPECT_LT(on_lte.energy.with_reading_j, on_umts.energy.with_reading_j);
   // Same page either way.
@@ -69,14 +74,17 @@ TEST(Profiles, TechniqueStillWinsOnLte) {
     config->link = lte.link;
   }
   const auto spec = corpus::espn_sports_spec();
-  const auto orig = core::run_single_load(spec, orig_cfg);
-  const auto ea = core::run_single_load(spec, ea_cfg);
+  const auto orig = scenario_of(orig_cfg).run_single(spec);
+  const auto ea = scenario_of(ea_cfg).run_single(spec);
   EXPECT_LT(ea.energy.with_reading_j, orig.energy.with_reading_j);
   // ...but the absolute joules recovered shrink vs UMTS.
-  const auto umts_orig = core::run_single_load(
-      spec, core::StackConfig::for_mode(browser::PipelineMode::kOriginal));
-  const auto umts_ea = core::run_single_load(
-      spec, core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware));
+  const auto umts_orig =
+      scenario_of(core::StackConfig::for_mode(browser::PipelineMode::kOriginal))
+          .run_single(spec);
+  const auto umts_ea =
+      scenario_of(
+          core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware))
+          .run_single(spec);
   const Joules saved_umts = umts_orig.energy.with_reading_j - umts_ea.energy.with_reading_j;
   const Joules saved_lte = orig.energy.with_reading_j - ea.energy.with_reading_j;
   EXPECT_LT(saved_lte, saved_umts);
@@ -84,10 +92,10 @@ TEST(Profiles, TechniqueStillWinsOnLte) {
 
 TEST(Proxy, BundlesTheWholePageIntoOneStream) {
   const auto spec = corpus::espn_sports_spec();
-  const auto config =
-      core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
-  const auto proxy = core::run_proxy_load(spec, config);
-  const auto direct = core::run_single_load(spec, config);
+  const core::Scenario scenario = scenario_of(
+      core::StackConfig::for_mode(browser::PipelineMode::kOriginal));
+  const auto proxy = scenario.run_proxy(spec);
+  const auto direct = scenario.run_single(spec);
 
   // Compressed bundle: fewer bytes than the raw page.
   EXPECT_LT(proxy.bundle_bytes, direct.bytes_fetched);
@@ -101,24 +109,27 @@ TEST(Proxy, BundlesTheWholePageIntoOneStream) {
 
 TEST(Proxy, DeterministicAndSeedSensitive) {
   const auto spec = corpus::m_cnn_spec();
-  const auto config =
-      core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
-  const auto a = core::run_proxy_load(spec, config, {}, 20.0, 5);
-  const auto b = core::run_proxy_load(spec, config, {}, 20.0, 5);
+  const core::Scenario scenario =
+      core::ScenarioBuilder()
+          .stack(core::StackConfig::for_mode(browser::PipelineMode::kOriginal))
+          .seed(5)
+          .build();
+  const auto a = scenario.run_proxy(spec);
+  const auto b = scenario.run_proxy(spec);
   EXPECT_DOUBLE_EQ(a.energy.with_reading_j, b.energy.with_reading_j);
   EXPECT_EQ(a.bundle_bytes, b.bundle_bytes);
 }
 
 TEST(Proxy, CompressionRatioScalesBundle) {
   const auto spec = corpus::m_cnn_spec();
-  const auto config =
-      core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
+  const core::Scenario scenario = scenario_of(
+      core::StackConfig::for_mode(browser::PipelineMode::kOriginal));
   core::ProxyConfig heavy;
   heavy.compression_ratio = 0.8;
   core::ProxyConfig light;
   light.compression_ratio = 0.2;
-  const auto big = core::run_proxy_load(spec, config, heavy);
-  const auto small = core::run_proxy_load(spec, config, light);
+  const auto big = scenario.run_proxy(spec, heavy);
+  const auto small = scenario.run_proxy(spec, light);
   EXPECT_GT(big.bundle_bytes, small.bundle_bytes * 3);
   EXPECT_GE(big.total_time, small.total_time);
 }
