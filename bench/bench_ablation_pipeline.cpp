@@ -30,13 +30,14 @@ int main(int argc, char** argv) {
   bench::print_header("Ablation", "energy-aware pipeline, one piece off at a time");
 
   const auto specs = corpus::full_benchmark();
+  using browser::PipelineMode;
   const auto baseline = bench::run_benchmark(
-      specs, core::StackConfig::for_mode(browser::PipelineMode::kOriginal));
+      specs, core::ScenarioBuilder(PipelineMode::kOriginal).build().stack);
 
   std::vector<Variant> variants;
   {
     Variant full{"full energy-aware bundle",
-                 core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware)};
+                 core::ScenarioBuilder(PipelineMode::kEnergyAware).build().stack};
     variants.push_back(full);
 
     Variant no_priority = full;

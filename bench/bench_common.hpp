@@ -31,6 +31,7 @@
 #include "obs/chrome_trace.hpp"
 #include "radio/outage.hpp"
 #include "util/fileio.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace eab::bench {
@@ -61,6 +62,25 @@ inline std::vector<core::SingleLoadResult> run_loads(
     jobs.push_back(core::BatchJob{spec, config, reading_window, seed});
   }
   return shared_runner().run(jobs);
+}
+
+/// 64 distinct jobs: both benchmarks, both pipeline modes, per-job derived
+/// seeds — every memo key unique, so the pool (not the cache) does the work.
+inline std::vector<core::BatchJob> mixed_sweep(bool traced = false) {
+  std::vector<corpus::PageSpec> pool = corpus::mobile_benchmark();
+  const auto full = corpus::full_benchmark();
+  pool.insert(pool.end(), full.begin(), full.end());
+  std::vector<core::BatchJob> jobs;
+  for (std::size_t i = 0; i < 64; ++i) {
+    const auto mode = (i / pool.size()) % 2 == 0
+                          ? browser::PipelineMode::kOriginal
+                          : browser::PipelineMode::kEnergyAware;
+    jobs.push_back(
+        core::BatchJob{pool[i % pool.size()],
+                       core::ScenarioBuilder(mode).trace(traced).build().stack,
+                       20.0, derive_seed(1, i)});
+  }
+  return jobs;
 }
 
 /// Average single-load results over a list of specs.
@@ -366,7 +386,7 @@ inline std::vector<trace::PageRecord> build_page_library(
   add_benchmark(corpus::full_benchmark());
 
   const auto ea_cfg =
-      core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware);
+      core::ScenarioBuilder(browser::PipelineMode::kEnergyAware).build().stack;
   std::vector<core::BatchJob> jobs;
   jobs.reserve(records.size());
   for (const auto& record : records) {

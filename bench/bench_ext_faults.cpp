@@ -34,7 +34,7 @@ net::FaultPlan plan_at(double rate, std::uint64_t seed) {
 
 core::StackConfig config_at(browser::PipelineMode mode, double rate,
                             std::uint64_t seed) {
-  auto config = core::StackConfig::for_mode(mode);
+  auto config = core::ScenarioBuilder(mode).build().stack;
   config.fault_plan = plan_at(rate, seed);
   // Watchdog generous against the 3.25 s promotion + slow-start setup;
   // bounded retries so every load settles.
@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
   // One deep-fade scenario: the link dies twice for 3 s mid-load (walking
   // into an elevator), no per-request faults at all.
   core::StackConfig fade_orig =
-      core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
+      core::ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack;
   fade_orig.fault_plan.seed = seed;
   fade_orig.fault_plan.fade_count = 2;
   fade_orig.fault_plan.fade_start = 2.0;

@@ -17,9 +17,9 @@ using namespace eab;
 
 void report(const radio::RadioProfile& profile) {
   core::StackConfig orig_cfg =
-      core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
+      core::ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack;
   core::StackConfig ea_cfg =
-      core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware);
+      core::ScenarioBuilder(browser::PipelineMode::kEnergyAware).build().stack;
   for (core::StackConfig* config : {&orig_cfg, &ea_cfg}) {
     config->rrc = profile.rrc;
     config->power = profile.power;

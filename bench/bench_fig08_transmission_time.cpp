@@ -41,9 +41,9 @@ int main(int argc, char** argv) {
   bench::print_header("Fig 8", "data transmission time and total loading time");
 
   const auto orig_cfg =
-      core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
+      core::ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack;
   const auto ea_cfg =
-      core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware);
+      core::ScenarioBuilder(browser::PipelineMode::kEnergyAware).build().stack;
 
   // (a) benchmark averages
   const auto mobile = corpus::mobile_benchmark();

@@ -18,8 +18,10 @@ using namespace eab;
 /// off: untraced loads are skipped by audit_results).
 int report(const std::string& label, const std::vector<corpus::PageSpec>& specs,
            double paper_saving) {
-  auto orig_cfg = core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
-  auto ea_cfg = core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware);
+  auto orig_cfg =
+      core::ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack;
+  auto ea_cfg =
+      core::ScenarioBuilder(browser::PipelineMode::kEnergyAware).build().stack;
   orig_cfg.trace = ea_cfg.trace = bench::trace_enabled();
 
   const auto orig_results = bench::run_loads(specs, orig_cfg);

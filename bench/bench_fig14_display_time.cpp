@@ -13,10 +13,11 @@ using namespace eab;
 
 void report(const std::string& label, const std::vector<corpus::PageSpec>& specs,
             double paper_first, double paper_final) {
+  using browser::PipelineMode;
   const auto orig = bench::run_benchmark(
-      specs, core::StackConfig::for_mode(browser::PipelineMode::kOriginal));
+      specs, core::ScenarioBuilder(PipelineMode::kOriginal).build().stack);
   const auto ea = bench::run_benchmark(
-      specs, core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware));
+      specs, core::ScenarioBuilder(PipelineMode::kEnergyAware).build().stack);
   TextTable table({label, "Original", "Energy-Aware", "saving", "paper"});
   table.add_row({"first display (s)", format_fixed(orig.first_display, 1),
                  format_fixed(ea.first_display, 1),

@@ -17,7 +17,6 @@
 #include <chrono>
 
 #include "cell/cell.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -26,26 +25,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::vector<core::BatchJob> make_sweep(bool traced) {
-  std::vector<corpus::PageSpec> pool = corpus::mobile_benchmark();
-  const auto full = corpus::full_benchmark();
-  pool.insert(pool.end(), full.begin(), full.end());
-
-  std::vector<core::BatchJob> jobs;
-  for (std::size_t i = 0; i < 64; ++i) {
-    core::BatchJob job;
-    job.spec = pool[i % pool.size()];
-    job.config = core::StackConfig::for_mode(
-        (i / pool.size()) % 2 == 0 ? browser::PipelineMode::kOriginal
-                                   : browser::PipelineMode::kEnergyAware);
-    job.config.trace = traced;
-    job.reading_window = 20.0;
-    job.seed = derive_seed(1, i);
-    jobs.push_back(std::move(job));
-  }
-  return jobs;
 }
 
 /// Best-of-`reps` wall clock for one cold run of `jobs` (a fresh runner per
@@ -118,8 +97,8 @@ int main(int argc, char** argv) {
   bench::print_header("Obs overhead", "tracing cost on the 64-load batch sweep");
 
   const int kReps = 3;
-  const auto untraced_jobs = make_sweep(false);
-  const auto traced_jobs = make_sweep(true);
+  const auto untraced_jobs = bench::mixed_sweep(false);
+  const auto traced_jobs = bench::mixed_sweep(true);
 
   std::vector<core::SingleLoadResult> untraced, traced;
   const double untraced_s = best_wall(untraced_jobs, kReps, &untraced);

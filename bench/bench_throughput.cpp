@@ -9,8 +9,6 @@
 #include <chrono>
 #include <cstdint>
 
-#include "util/rng.hpp"
-
 namespace {
 
 using namespace eab;
@@ -18,27 +16,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// 64 distinct jobs: both benchmarks, both pipeline modes, per-job derived
-/// seeds — every memo key unique, so the pool (not the cache) does the work.
-std::vector<core::BatchJob> make_sweep() {
-  std::vector<corpus::PageSpec> pool = corpus::mobile_benchmark();
-  const auto full = corpus::full_benchmark();
-  pool.insert(pool.end(), full.begin(), full.end());
-
-  std::vector<core::BatchJob> jobs;
-  for (std::size_t i = 0; i < 64; ++i) {
-    core::BatchJob job;
-    job.spec = pool[i % pool.size()];
-    job.config = core::StackConfig::for_mode(
-        (i / pool.size()) % 2 == 0 ? browser::PipelineMode::kOriginal
-                                   : browser::PipelineMode::kEnergyAware);
-    job.reading_window = 20.0;
-    job.seed = derive_seed(1, i);
-    jobs.push_back(std::move(job));
-  }
-  return jobs;
 }
 
 bool identical(const core::SingleLoadResult& a, const core::SingleLoadResult& b) {
@@ -62,7 +39,7 @@ int main(int argc, char** argv) {
   bench::print_header("Throughput",
                       "batch engine: serial vs parallel vs memo-cache replay");
 
-  const auto jobs = make_sweep();
+  const auto jobs = bench::mixed_sweep();
 
   // Serial baseline: the loop every harness used to run.
   const auto serial_start = Clock::now();

@@ -61,9 +61,12 @@ echo "== cell: co-simulation determinism + ASan sweep =="
 # (client/load replacement, stale abort events, grant release on demotion).
 ./build/tests/cell_test
 cmake --build build-asan -j "$JOBS" --target cell_test
-# 16 seeds under ASan: half the in-process sweep, same fault atoms.
+# 16 seeds under ASan: half the in-process sweep, same fault atoms.  The
+# cell codec tests ride along: the decoder parses bytes from worker pipes
+# and crash journals, so torn, padded and oversized-count records run under
+# ASan too.
 EAB_CELL_CHAOS_SEEDS=16 ./build-asan/tests/cell_test \
-  --gtest_filter='CellTest.ChaosSweepOverCellScenarios:CellTest.GrantExhaustionDropsSessionsAndStaysClean:CellTest.SameSeedSameResult'
+  --gtest_filter='CellTest.ChaosSweepOverCellScenarios:CellTest.GrantExhaustionDropsSessionsAndStaysClean:CellTest.SameSeedSameResult:CellTest.CellCodecRejectsTornAndPaddedRecords:CellTest.CellCodecRejectsOversizedUeCount:CellTest.CellCodecLayoutIsPinned'
 # A small --cell bench run end-to-end: knobs parse, JSON lands, exit 0.
 (cd build/bench && EAB_CELL_USERS=8 EAB_CELL_SEED=3 ./bench_fig11_capacity --cell > /dev/null)
 echo "cell checks passed"
@@ -175,11 +178,12 @@ echo "== metro: multi-cell mobility determinism + ASan sweep =="
 ./build/tests/metro_handover_boundary_test
 # 16 mobility seeds under ASan: a handover pauses flows mid-fetch and
 # re-routes them through another scheduler, a refused admission aborts the
-# load from inside the move — ASan guards those cross-cell lifetimes.
+# load from inside the move — ASan guards those cross-cell lifetimes.  The
+# metro codec tests ride along for the same reason as the cell ones.
 cmake --build build-asan -j "$JOBS" \
   --target metro_test --target metro_handover_boundary_test
 EAB_METRO_SWEEP_SEEDS=16 ./build-asan/tests/metro_test \
-  --gtest_filter='MetroTest.MobilitySeedSweepStaysClean:MetroTest.MobilityLedgerConserves'
+  --gtest_filter='MetroTest.MobilitySeedSweepStaysClean:MetroTest.MobilityLedgerConserves:MetroTest.SerializeRoundTripsAndRejectsGarbage:MetroTest.MetroCodecRejectsOversizedCellCount:MetroTest.MetroCodecLayoutIsPinned'
 ./build-asan/tests/metro_handover_boundary_test
 # Disabled-mobility gate: a 1-cell, zero-dwell metro must reproduce plain
 # cell::run_cell byte for byte (telemetry and outages included).
@@ -205,7 +209,7 @@ echo "== telemetry: determinism suite + overhead gate + cross-mode bytes =="
 # The telemetry ladder (DESIGN.md §11): integer-quanta merge associativity,
 # codec corruption rejection, and the sampling-never-bends-the-workload
 # contract — run under ASan because series ship across process boundaries
-# through hand-rolled codecs.
+# as bytes decoded by the util/bytes.hpp field visitor.
 cmake --build build-asan -j "$JOBS" --target obs_telemetry_test
 ./build-asan/tests/obs_telemetry_test
 # bench_obs_overhead's sampling phase: cell workload bit-identical with

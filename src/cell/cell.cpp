@@ -5,7 +5,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "cell/cell_sim.hpp"
 #include "core/sweep.hpp"
@@ -77,20 +76,31 @@ namespace {
 // adds the radio-failure accounting (cell aggregates + per-UE fields).
 constexpr std::uint32_t kCellResultVersion = 3;
 
-void write_energy(BinaryWriter& w, const core::EnergyReport& energy) {
-  w.f64(energy.load_j);
-  w.f64(energy.with_reading_j);
-  w.f64(energy.radio_j);
-  w.f64(energy.window_s);
-}
-
-core::EnergyReport read_energy(BinaryReader& r) {
-  core::EnergyReport energy;
-  energy.load_j = r.f64();
-  energy.with_reading_j = r.f64();
-  energy.radio_j = r.f64();
-  energy.window_s = r.f64();
-  return energy;
+/// The CellResult layout after the version word (util/bytes.hpp visitor).
+template <class Io, class R>
+void fields(Io& io, R& result) {
+  io(result.users, result.channels, result.offered, result.dropped,
+     result.completed, result.aborted, result.grant_overcommits,
+     result.radio_outages, result.rlf, result.reestablish_ok,
+     result.reestablish_fail, result.cell_outages, result.mean_busy_grants,
+     result.peak_busy_grants, result.mean_grant_hold, result.leaked_flows,
+     result.end_time, result.sim_events);
+  io.seq(result.per_ue, [](Io& io, auto& ue) {
+    io(ue.offered, ue.admitted, ue.dropped, ue.completed, ue.aborted,
+       ue.total_load_time, ue.total_service_time, ue.radio_outages, ue.rlf,
+       ue.reestablish_ok, ue.reestablish_fail, ue.out_of_service_time,
+       ue.energy.load_j, ue.energy.with_reading_j, ue.energy.radio_j,
+       ue.energy.window_s);
+  });
+  io(result.metrics);
+  bool has_telemetry = result.telemetry != nullptr;
+  io(has_telemetry);
+  if (has_telemetry) {
+    if constexpr (Io::kReading) {
+      result.telemetry = std::make_shared<obs::Telemetry>();
+    }
+    io(*result.telemetry);
+  }
 }
 
 }  // namespace
@@ -106,47 +116,7 @@ std::string serialize_cell_result(const CellResult& result) {
   std::string out;
   BinaryWriter w(out);
   w.u32(kCellResultVersion);
-  w.i32(result.users);
-  w.i32(result.channels);
-  w.u64(result.offered);
-  w.u64(result.dropped);
-  w.u64(result.completed);
-  w.u64(result.aborted);
-  w.u64(result.grant_overcommits);
-  w.u64(result.radio_outages);
-  w.u64(result.rlf);
-  w.u64(result.reestablish_ok);
-  w.u64(result.reestablish_fail);
-  w.u64(result.cell_outages);
-  w.f64(result.mean_busy_grants);
-  w.i32(result.peak_busy_grants);
-  w.f64(result.mean_grant_hold);
-  w.u64(result.leaked_flows);
-  w.f64(result.end_time);
-  w.u64(result.sim_events);
-  w.u64(result.per_ue.size());
-  for (const UeStats& ue : result.per_ue) {
-    w.i32(ue.offered);
-    w.i32(ue.admitted);
-    w.i32(ue.dropped);
-    w.i32(ue.completed);
-    w.i32(ue.aborted);
-    w.f64(ue.total_load_time);
-    w.f64(ue.total_service_time);
-    w.i32(ue.radio_outages);
-    w.i32(ue.rlf);
-    w.i32(ue.reestablish_ok);
-    w.i32(ue.reestablish_fail);
-    w.f64(ue.out_of_service_time);
-    write_energy(w, ue.energy);
-  }
-  w.str(result.metrics.to_bytes());
-  if (result.telemetry) {
-    w.u8(1);
-    w.str(result.telemetry->to_bytes());
-  } else {
-    w.u8(0);
-  }
+  fields(w, result);
   return out;
 }
 
@@ -157,48 +127,7 @@ CellResult deserialize_cell_result(std::string_view bytes) {
         "deserialize_cell_result: unknown record version");
   }
   CellResult result;
-  result.users = r.i32();
-  result.channels = r.i32();
-  result.offered = r.u64();
-  result.dropped = r.u64();
-  result.completed = r.u64();
-  result.aborted = r.u64();
-  result.grant_overcommits = r.u64();
-  result.radio_outages = r.u64();
-  result.rlf = r.u64();
-  result.reestablish_ok = r.u64();
-  result.reestablish_fail = r.u64();
-  result.cell_outages = r.u64();
-  result.mean_busy_grants = r.f64();
-  result.peak_busy_grants = r.i32();
-  result.mean_grant_hold = r.f64();
-  result.leaked_flows = r.u64();
-  result.end_time = r.f64();
-  result.sim_events = r.u64();
-  const std::uint64_t ue_count = r.u64();
-  result.per_ue.reserve(ue_count);
-  for (std::uint64_t i = 0; i < ue_count; ++i) {
-    UeStats ue;
-    ue.offered = r.i32();
-    ue.admitted = r.i32();
-    ue.dropped = r.i32();
-    ue.completed = r.i32();
-    ue.aborted = r.i32();
-    ue.total_load_time = r.f64();
-    ue.total_service_time = r.f64();
-    ue.radio_outages = r.i32();
-    ue.rlf = r.i32();
-    ue.reestablish_ok = r.i32();
-    ue.reestablish_fail = r.i32();
-    ue.out_of_service_time = r.f64();
-    ue.energy = read_energy(r);
-    result.per_ue.push_back(std::move(ue));
-  }
-  result.metrics = obs::MetricsRegistry::from_bytes(r.str());
-  if (r.u8() != 0) {
-    result.telemetry =
-        std::make_shared<obs::Telemetry>(obs::Telemetry::from_bytes(r.str()));
-  }
+  fields(r, result);
   r.expect_done();
   return result;
 }

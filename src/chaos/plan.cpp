@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/scenario.hpp"
 #include "util/rng.hpp"
 
 namespace eab::chaos {
@@ -131,7 +132,7 @@ core::BatchJob apply_chaos(const ChaosScenario& scenario,
   core::BatchJob job;
   const auto& pool = chaos_spec_pool();
   job.spec = pool[static_cast<std::size_t>(scenario.spec_index) % pool.size()];
-  job.config = core::StackConfig::for_mode(scenario.mode);
+  job.config = core::ScenarioBuilder(scenario.mode).build().stack;
   job.reading_window = reading_window;
   job.seed = scenario.seed;
 

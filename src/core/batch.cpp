@@ -1,7 +1,6 @@
 #include "core/batch.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -11,157 +10,75 @@
 #include <thread>
 
 #include "core/scenario.hpp"
+#include "util/bytes.hpp"
 
 namespace eab::core {
 namespace {
 
-/// Appends fields to a memo key in a fixed, portable byte order.
-class KeyWriter {
- public:
-  explicit KeyWriter(std::string& out) : out_(out) {}
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void i32(int v) { u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-  void boolean(bool v) { out_.push_back(v ? '\1' : '\0'); }
-  void str(const std::string& s) {
-    u64(s.size());
-    out_.append(s);
-  }
-
- private:
-  std::string& out_;
-};
-
-void write_spec(KeyWriter& w, const corpus::PageSpec& spec) {
-  w.str(spec.site);
-  w.boolean(spec.mobile);
-  w.i32(static_cast<int>(spec.topic));
-  w.u64(spec.html_bytes);
-  w.i32(spec.css_files);
-  w.u64(spec.css_bytes);
-  w.i32(spec.css_images);
-  w.u64(spec.css_image_bytes);
-  w.i32(spec.js_files);
-  w.u64(spec.js_bytes);
-  w.i32(spec.js_busy_iterations);
-  w.i32(spec.js_images);
-  w.u64(spec.js_image_bytes);
-  w.i32(spec.html_images);
-  w.u64(spec.image_bytes);
-  w.i32(spec.flash_objects);
-  w.u64(spec.flash_bytes);
-  w.i32(spec.anchors);
-  w.i32(spec.paragraphs);
+/// Every PageSpec field, in declaration order.
+void write_spec(BinaryWriter& w, const corpus::PageSpec& spec) {
+  w(spec.site, spec.mobile, static_cast<std::int32_t>(spec.topic),
+    spec.html_bytes, spec.css_files, spec.css_bytes, spec.css_images,
+    spec.css_image_bytes, spec.js_files, spec.js_bytes,
+    spec.js_busy_iterations, spec.js_images, spec.js_image_bytes,
+    spec.html_images, spec.image_bytes, spec.flash_objects, spec.flash_bytes,
+    spec.anchors, spec.paragraphs);
 }
 
-void write_config(KeyWriter& w, const StackConfig& config) {
+/// Every StackConfig field.  Tracing never changes simulation results, but
+/// a traced SingleLoadResult carries its recording — an untraced job must
+/// not be served one (or vice versa), so the flag is part of the identity.
+void write_config(BinaryWriter& w, const StackConfig& config) {
   const auto& rrc = config.rrc;
-  w.f64(rrc.t1);
-  w.f64(rrc.t2);
-  w.f64(rrc.idle_to_dch_delay);
-  w.f64(rrc.fach_to_dch_delay);
-  w.f64(rrc.release_delay);
-  w.f64(rrc.idle_to_dch_power);
-  w.f64(rrc.fach_to_dch_power);
-  w.f64(rrc.release_power);
-  w.u64(rrc.fach_data_threshold);
+  w(rrc.t1, rrc.t2, rrc.idle_to_dch_delay, rrc.fach_to_dch_delay,
+    rrc.release_delay, rrc.idle_to_dch_power, rrc.fach_to_dch_power,
+    rrc.release_power, rrc.fach_data_threshold, rrc.rlf_detect,
+    rrc.reestablish_delay, rrc.reestablish_power, rrc.reestablish_backoff,
+    rrc.max_reestablish_attempts, rrc.handover_delay, rrc.handover_power);
 
   const auto& power = config.power;
-  w.f64(power.idle);
-  w.f64(power.fach);
-  w.f64(power.dch_no_transfer);
-  w.f64(power.dch_transfer);
-  w.f64(power.fach_transfer);
-  w.f64(power.cpu_busy_extra);
+  w(power.idle, power.fach, power.dch_no_transfer, power.dch_transfer,
+    power.fach_transfer, power.cpu_busy_extra, power.out_of_service);
 
   const auto& link = config.link;
-  w.f64(link.dch_bandwidth);
-  w.f64(link.fach_bandwidth);
-  w.f64(link.rtt);
-  w.f64(link.server_latency);
-  w.u64(link.slow_start_threshold);
-  w.f64(link.slow_start_rounds_cap);
+  w(link.dch_bandwidth, link.fach_bandwidth, link.rtt, link.server_latency,
+    link.slow_start_threshold, link.slow_start_rounds_cap);
 
   const auto& pipeline = config.pipeline;
-  w.i32(static_cast<int>(pipeline.mode));
   const auto& costs = pipeline.costs;
-  w.f64(costs.html_parse_per_kb);
-  w.f64(costs.css_scan_per_kb);
-  w.f64(costs.js_per_kilo_op);
-  w.f64(costs.css_parse_per_kb);
-  w.f64(costs.image_decode_per_kb);
-  w.f64(costs.style_format_per_node);
-  w.f64(costs.layout_per_node);
-  w.f64(costs.render_per_node);
-  w.f64(costs.display_overhead);
-  w.f64(costs.reflow_factor);
-  w.f64(costs.text_display_discount);
   const auto& viewport = pipeline.viewport;
-  w.i32(viewport.width_px);
-  w.i32(viewport.avg_char_width_px);
-  w.i32(viewport.line_height_px);
-  w.i32(viewport.default_image_height_px);
-  w.i32(viewport.default_image_width_px);
-  w.f64(pipeline.redraw_min_interval);
-  w.boolean(pipeline.mobile_page);
-  w.boolean(pipeline.priority_fetch);
-  w.boolean(pipeline.defer_css_parse);
-  w.boolean(pipeline.intermediate_text_display);
+  w(static_cast<std::int32_t>(pipeline.mode), costs.html_parse_per_kb,
+    costs.css_scan_per_kb, costs.js_per_kilo_op, costs.css_parse_per_kb,
+    costs.image_decode_per_kb, costs.style_format_per_node,
+    costs.layout_per_node, costs.render_per_node, costs.display_overhead,
+    costs.reflow_factor, costs.text_display_discount, viewport.width_px,
+    viewport.avg_char_width_px, viewport.line_height_px,
+    viewport.default_image_height_px, viewport.default_image_width_px,
+    pipeline.redraw_min_interval, pipeline.mobile_page,
+    pipeline.priority_fetch, pipeline.defer_css_parse,
+    pipeline.intermediate_text_display);
 
-  w.boolean(config.force_idle_at_tx);
-  w.i32(config.max_parallel_connections);
-  w.boolean(config.use_browser_cache);
-  w.u64(config.browser_cache_bytes);
-  // Tracing never changes simulation results, but a traced SingleLoadResult
-  // carries its recording — an untraced job must not be served one (or vice
-  // versa), so the flag is part of the identity.
-  w.boolean(config.trace);
+  w(config.force_idle_at_tx, config.max_parallel_connections,
+    config.use_browser_cache, config.browser_cache_bytes, config.trace,
+    config.sim_event_budget);
 
   const auto& fault = config.fault_plan;
-  w.u64(fault.seed);
-  w.f64(fault.connection_loss_rate);
-  w.f64(fault.stall_rate);
-  w.f64(fault.truncate_rate);
-  w.f64(fault.slow_first_byte_rate);
-  w.f64(fault.slow_first_byte_extra);
-  w.i32(fault.fade_count);
-  w.f64(fault.fade_start);
-  w.f64(fault.fade_period);
-  w.f64(fault.fade_duration);
+  w(fault.seed, fault.connection_loss_rate, fault.stall_rate,
+    fault.truncate_rate, fault.slow_first_byte_rate,
+    fault.slow_first_byte_extra, fault.fade_count, fault.fade_start,
+    fault.fade_period, fault.fade_duration);
 
   const auto& retry = config.retry;
-  w.f64(retry.request_timeout);
-  w.i32(retry.max_retries);
-  w.f64(retry.backoff_initial);
-  w.f64(retry.backoff_factor);
+  w(retry.request_timeout, retry.max_retries, retry.backoff_initial,
+    retry.backoff_factor);
+
+  const auto& outage = config.outage;
+  w(outage.seed, outage.count, outage.start, outage.period, outage.duration,
+    outage.reestablish_fail_rate);
 
   const auto& chaos = config.chaos;
-  w.f64(chaos.abort_at);
-  w.i32(chaos.ril_socket_failures);
-  w.i32(chaos.cache_storm_count);
-  w.f64(chaos.cache_storm_start);
-  w.f64(chaos.cache_storm_period);
-
-  w.u64(config.sim_event_budget);
-
-  // Radio failure model (appended so older fields keep their offsets; the
-  // key is in-process only, so growing it is safe).
-  w.f64(rrc.rlf_detect);
-  w.f64(rrc.reestablish_delay);
-  w.f64(rrc.reestablish_power);
-  w.f64(rrc.reestablish_backoff);
-  w.i32(rrc.max_reestablish_attempts);
-  w.f64(power.out_of_service);
-  const auto& outage = config.outage;
-  w.u64(outage.seed);
-  w.i32(outage.count);
-  w.f64(outage.start);
-  w.f64(outage.period);
-  w.f64(outage.duration);
-  w.f64(outage.reestablish_fail_rate);
+  w(chaos.abort_at, chaos.ril_socket_failures, chaos.cache_storm_count,
+    chaos.cache_storm_start, chaos.cache_storm_period);
 }
 
 }  // namespace
@@ -169,11 +86,10 @@ void write_config(KeyWriter& w, const StackConfig& config) {
 std::string batch_memo_key(const BatchJob& job) {
   std::string key;
   key.reserve(512);
-  KeyWriter w(key);
+  BinaryWriter w(key);
   write_spec(w, job.spec);
   write_config(w, job.config);
-  w.f64(job.reading_window);
-  w.u64(job.seed);
+  w(job.reading_window, job.seed);
   return key;
 }
 

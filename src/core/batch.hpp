@@ -48,8 +48,8 @@ struct BatchJob {
 /// window and the seed.  Two jobs with equal keys produce bit-identical
 /// SingleLoadResults.
 /// NOTE: any new field added to PageSpec or StackConfig (the fault plan,
-/// retry policy and chaos directives included) must be appended here, or
-/// loads differing only in that field would collide in the cache.
+/// retry policy and chaos directives included) must be written into the key
+/// too, or loads differing only in that field would collide in the cache.
 std::string batch_memo_key(const BatchJob& job);
 
 /// One quarantined batch job: the load threw instead of returning.  The

@@ -22,12 +22,6 @@ void validate_fault_wiring(const StackConfig& config) {
   }
 }
 
-StackConfig StackConfig::for_mode(browser::PipelineMode mode) {
-  // Delegates to the builder so there is exactly one place the mode/fast-
-  // dormancy coupling (and any future mode-dependent default) is defined.
-  return ScenarioBuilder(mode).build().stack;
-}
-
 SingleLoadResult Scenario::run_single(const corpus::PageSpec& spec) const {
   sim::Simulator sim;
   sim.set_event_budget(stack.sim_event_budget);

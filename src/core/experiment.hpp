@@ -92,9 +92,6 @@ struct StackConfig {
   /// thousand events; the default is generous enough that only a genuinely
   /// wedged simulation — an event loop feeding itself — ever trips it.
   std::uint64_t sim_event_budget = 10'000'000;
-
-  /// Convenience: a stack for the given mode with everything else default.
-  static StackConfig for_mode(browser::PipelineMode mode);
 };
 
 /// Everything measured from one load.

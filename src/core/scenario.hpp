@@ -42,18 +42,16 @@ struct Scenario {
 };
 
 /// Fluent construction with validation at build().  Default-constructed it
-/// reproduces StackConfig{} exactly; ScenarioBuilder(mode) reproduces
-/// StackConfig::for_mode(mode) (pipeline mode + fast dormancy for the
-/// energy-aware pipeline) — a regression test pins both equivalences.
+/// reproduces StackConfig{} exactly (a regression test pins it);
+/// ScenarioBuilder(mode) is the one way to get a stack for a pipeline mode.
 class ScenarioBuilder {
  public:
   ScenarioBuilder() = default;
   explicit ScenarioBuilder(browser::PipelineMode mode) { this->mode(mode); }
 
-  /// Sets the pipeline mode and couples fast dormancy to it the way
-  /// StackConfig::for_mode always has: energy-aware releases the radio at
-  /// transmission-complete, Original does not.  Call force_idle_at_tx()
-  /// afterwards to decouple them.
+  /// Sets the pipeline mode and couples fast dormancy to it: energy-aware
+  /// releases the radio at transmission-complete, Original does not.  Call
+  /// force_idle_at_tx() afterwards to decouple them.
   ScenarioBuilder& mode(browser::PipelineMode mode) {
     scenario_.stack.pipeline.mode = mode;
     scenario_.stack.force_idle_at_tx =

@@ -450,37 +450,42 @@ MetroResult run_metro(const MetroConfig& config) {
 }
 
 namespace {
+
 constexpr std::uint32_t kMetroResultVersion = 1;
+
+/// The MetroResult layout after the version word (util/bytes.hpp visitor).
+template <class Io, class R>
+void fields(Io& io, R& result) {
+  io(result.grid_w, result.grid_h, result.total_users, result.reselects,
+     result.handovers, result.handover_drops, result.offered, result.dropped,
+     result.completed, result.aborted, result.end_time, result.sim_events);
+  // Per cell: home users, the mobility ledger, then the cell's own record.
+  std::size_t c = 0;
+  io.seq(result.cells, [&result, &c](Io& io, auto& cell_result) {
+    if constexpr (Io::kReading) {
+      result.home_users.emplace_back();
+      result.mobility.emplace_back();
+    }
+    auto& s = result.mobility[c];
+    io(result.home_users[c], s.reselects_in, s.reselects_out, s.handovers_in,
+       s.handovers_out, s.handover_drops);
+    if constexpr (Io::kReading) {
+      cell_result = cell::deserialize_cell_result(io.str());
+    } else {
+      io.str(cell::serialize_cell_result(cell_result));
+    }
+    ++c;
+  });
+  io(result.metrics);
+}
+
 }  // namespace
 
 std::string serialize_metro_result(const MetroResult& result) {
   std::string out;
   BinaryWriter w(out);
   w.u32(kMetroResultVersion);
-  w.i32(result.grid_w);
-  w.i32(result.grid_h);
-  w.i32(result.total_users);
-  w.u64(result.reselects);
-  w.u64(result.handovers);
-  w.u64(result.handover_drops);
-  w.u64(result.offered);
-  w.u64(result.dropped);
-  w.u64(result.completed);
-  w.u64(result.aborted);
-  w.f64(result.end_time);
-  w.u64(result.sim_events);
-  w.u64(result.cells.size());
-  for (std::size_t c = 0; c < result.cells.size(); ++c) {
-    w.i32(result.home_users[c]);
-    const MetroCellStats& s = result.mobility[c];
-    w.u64(s.reselects_in);
-    w.u64(s.reselects_out);
-    w.u64(s.handovers_in);
-    w.u64(s.handovers_out);
-    w.u64(s.handover_drops);
-    w.str(cell::serialize_cell_result(result.cells[c]));
-  }
-  w.str(result.metrics.to_bytes());
+  fields(w, result);
   return out;
 }
 
@@ -491,34 +496,7 @@ MetroResult deserialize_metro_result(std::string_view bytes) {
         "deserialize_metro_result: unknown record version");
   }
   MetroResult result;
-  result.grid_w = r.i32();
-  result.grid_h = r.i32();
-  result.total_users = r.i32();
-  result.reselects = r.u64();
-  result.handovers = r.u64();
-  result.handover_drops = r.u64();
-  result.offered = r.u64();
-  result.dropped = r.u64();
-  result.completed = r.u64();
-  result.aborted = r.u64();
-  result.end_time = r.f64();
-  result.sim_events = r.u64();
-  const std::uint64_t cells = r.u64();
-  result.home_users.reserve(cells);
-  result.mobility.reserve(cells);
-  result.cells.reserve(cells);
-  for (std::uint64_t c = 0; c < cells; ++c) {
-    result.home_users.push_back(r.i32());
-    MetroCellStats s;
-    s.reselects_in = r.u64();
-    s.reselects_out = r.u64();
-    s.handovers_in = r.u64();
-    s.handovers_out = r.u64();
-    s.handover_drops = r.u64();
-    result.mobility.push_back(s);
-    result.cells.push_back(cell::deserialize_cell_result(r.str()));
-  }
-  result.metrics = obs::MetricsRegistry::from_bytes(r.str());
+  fields(r, result);
   r.expect_done();
   return result;
 }

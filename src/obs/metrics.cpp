@@ -108,6 +108,15 @@ void append_number(std::string& out, double v) {
   out += buf;
 }
 
+/// The Entry layout after its name and kind byte (util/bytes.hpp visitor).
+/// The whole Entry travels regardless of kind: equality (same_as) is
+/// field-wise, so a round trip must restore value AND histogram exactly.
+template <class Io, class E>
+void fields(Io& io, E& e) {
+  io(e.value, e.hist.count, e.hist.sum, e.hist.min, e.hist.max);
+  for (auto& bucket : e.hist.buckets) io(bucket);
+}
+
 }  // namespace
 
 std::string MetricsRegistry::to_bytes() const {
@@ -117,14 +126,7 @@ std::string MetricsRegistry::to_bytes() const {
   for (const auto& [name, e] : entries_) {
     w.str(name);
     w.u8(static_cast<std::uint8_t>(e.kind));
-    // Serialize the whole Entry regardless of kind: equality (same_as) is
-    // field-wise, so a round trip must restore value AND histogram exactly.
-    w.f64(e.value);
-    w.u64(e.hist.count);
-    w.f64(e.hist.sum);
-    w.f64(e.hist.min);
-    w.f64(e.hist.max);
-    for (const std::uint64_t bucket : e.hist.buckets) w.u64(bucket);
+    fields(w, e);
   }
   return out;
 }
@@ -141,12 +143,7 @@ MetricsRegistry MetricsRegistry::from_bytes(std::string_view bytes) {
     }
     Entry e;
     e.kind = static_cast<Kind>(kind);
-    e.value = r.f64();
-    e.hist.count = r.u64();
-    e.hist.sum = r.f64();
-    e.hist.min = r.f64();
-    e.hist.max = r.f64();
-    for (std::uint64_t& bucket : e.hist.buckets) bucket = r.u64();
+    fields(r, e);
     registry.entries_.emplace(std::move(name), e);
   }
   r.expect_done();

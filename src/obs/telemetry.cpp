@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "util/bytes.hpp"
-#include "util/hash.hpp"
 
 namespace eab::obs {
 
@@ -63,37 +62,36 @@ bool Telemetry::same_as(const Telemetry& other) const {
   return true;
 }
 
+namespace {
+
+/// The Telemetry header (util/bytes.hpp visitor); the sorted (name, series)
+/// pairs follow it.
+template <class Io, class C>
+void fields(Io& io, C& config) {
+  io(config.tick, config.point_budget, config.per_ue);
+}
+
+}  // namespace
+
 std::string Telemetry::to_bytes() const {
-  std::string payload;
-  BinaryWriter w(payload);
-  w.f64(config_.tick);
-  w.u64(config_.point_budget);
-  w.u8(config_.per_ue ? 1 : 0);
+  std::string out;
+  BinaryWriter w(out);
+  fields(w, config_);
   w.u64(series_.size());
-  for (const auto& [name, s] : series_) {
-    w.str(name);
-    w.str(s.to_bytes());
-  }
-  std::string out = payload;
-  BinaryWriter tail(out);
-  tail.u32(crc32(payload));
+  for (const auto& [name, s] : series_) w(name, s);
+  w.seal();
   return out;
 }
 
 Telemetry Telemetry::from_bytes(std::string_view bytes) {
-  if (bytes.size() < 4) {
-    throw std::runtime_error("truncated binary record");
-  }
-  const std::string_view payload = bytes.substr(0, bytes.size() - 4);
-  BinaryReader crc_reader(bytes.substr(bytes.size() - 4));
-  if (crc_reader.u32() != crc32(payload)) {
-    throw std::runtime_error("Telemetry::from_bytes: checksum mismatch");
-  }
-  BinaryReader r(payload);
+  BinaryReader r = BinaryReader::open_sealed(
+      bytes, "Telemetry::from_bytes: checksum mismatch");
   TelemetryConfig config;
-  config.tick = r.f64();
-  config.point_budget = r.u64();
-  config.per_ue = r.u8() != 0;
+  fields(r, config);
+  if (!(config.tick > 0) || !std::isfinite(config.tick) ||
+      config.point_budget < 2) {
+    throw std::runtime_error("Telemetry::from_bytes: malformed header");
+  }
   Telemetry telemetry(config);
   const std::uint64_t n = r.u64();
   std::string previous;

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "util/bytes.hpp"
-#include "util/hash.hpp"
 
 namespace eab::obs {
 namespace {
@@ -153,67 +152,39 @@ bool TimeSeries::same_as(const TimeSeries& other) const {
          points_ == other.points_;
 }
 
+template <class Io, class S>
+void TimeSeries::fields(Io& io, S& series) {
+  io(series.base_width_, series.budget_, series.level_, series.samples_);
+  io.seq(series.points_, [](Io& io, auto& p) {
+    io(p.bucket, p.min, p.max, p.sum_q, p.last, p.last_t, p.count);
+  });
+}
+
 std::string TimeSeries::to_bytes() const {
-  std::string payload;
-  BinaryWriter w(payload);
-  w.f64(base_width_);
-  w.u64(budget_);
-  w.u32(level_);
-  w.u64(samples_);
-  w.u64(points_.size());
-  for (const SeriesPoint& p : points_) {
-    w.u64(p.bucket);
-    w.f64(p.min);
-    w.f64(p.max);
-    w.u64(static_cast<std::uint64_t>(p.sum_q));
-    w.f64(p.last);
-    w.f64(p.last_t);
-    w.u64(p.count);
-  }
-  std::string out = payload;
-  BinaryWriter tail(out);
-  tail.u32(crc32(payload));
+  std::string out;
+  BinaryWriter w(out);
+  fields(w, *this);
+  w.seal();
   return out;
 }
 
 TimeSeries TimeSeries::from_bytes(std::string_view bytes) {
-  if (bytes.size() < 4) {
-    throw std::runtime_error("truncated binary record");
-  }
-  const std::string_view payload = bytes.substr(0, bytes.size() - 4);
-  BinaryReader crc_reader(bytes.substr(bytes.size() - 4));
-  if (crc_reader.u32() != crc32(payload)) {
-    throw std::runtime_error("TimeSeries::from_bytes: checksum mismatch");
-  }
-  BinaryReader r(payload);
-  const double base_width = r.f64();
-  const std::uint64_t budget = r.u64();
-  const std::uint32_t level = r.u32();
-  const std::uint64_t samples = r.u64();
-  const std::uint64_t n = r.u64();
-  if (!(base_width > 0) || !std::isfinite(base_width) || budget < 2 ||
-      level >= 64 || n > budget) {
+  BinaryReader r = BinaryReader::open_sealed(
+      bytes, "TimeSeries::from_bytes: checksum mismatch");
+  TimeSeries series(1.0, 2);  // shape placeholder; the header overwrites it
+  fields(r, series);
+  r.expect_done();
+  const auto& points = series.points_;
+  if (!(series.base_width_ > 0) || !std::isfinite(series.base_width_) ||
+      series.budget_ < 2 || series.level_ >= 64 ||
+      points.size() > series.budget_) {
     throw std::runtime_error("TimeSeries::from_bytes: malformed header");
   }
-  TimeSeries series(base_width, budget);
-  series.level_ = level;
-  series.samples_ = samples;
-  series.points_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    SeriesPoint p;
-    p.bucket = r.u64();
-    p.min = r.f64();
-    p.max = r.f64();
-    p.sum_q = static_cast<std::int64_t>(r.u64());
-    p.last = r.f64();
-    p.last_t = r.f64();
-    p.count = r.u64();
-    if (!series.points_.empty() && p.bucket <= series.points_.back().bucket) {
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    if (points[i].bucket <= points[i - 1].bucket) {
       throw std::runtime_error("TimeSeries::from_bytes: unsorted points");
     }
-    series.points_.push_back(p);
   }
-  r.expect_done();
   return series;
 }
 

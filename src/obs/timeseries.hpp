@@ -94,6 +94,9 @@ class TimeSeries {
   std::string to_json() const;
 
  private:
+  /// The codec's field list (util/bytes.hpp visitor), both directions.
+  template <class Io, class S>
+  static void fields(Io& io, S& series);
   void coarsen();          // level_+1, merge adjacent windows in place
   void fold(const SeriesPoint& p);  // merge one point at current width
 

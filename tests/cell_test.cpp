@@ -15,6 +15,8 @@
 
 #include "core/scenario.hpp"
 #include "obs/audit.hpp"
+#include "util/bytes.hpp"
+#include "util/hash.hpp"
 
 namespace eab::cell {
 namespace {
@@ -127,6 +129,56 @@ TEST(CellTest, CellResultSerializationRoundTripsBitExactly) {
   }
 
   EXPECT_THROW(deserialize_cell_result("torn"), std::runtime_error);
+}
+
+TEST(CellTest, CellCodecRejectsTornAndPaddedRecords) {
+  auto config = small_cell(browser::PipelineMode::kEnergyAware);
+  config.telemetry_tick = 7.0;  // the optional telemetry blob too
+  const std::string bytes = serialize_cell_result(run_cell(config));
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW(deserialize_cell_result(std::string_view(bytes).substr(0, len)),
+                 std::runtime_error)
+        << "accepted a record truncated to " << len << " bytes";
+  }
+  EXPECT_THROW(deserialize_cell_result(bytes + '\0'), std::runtime_error);
+}
+
+TEST(CellTest, CellCodecRejectsOversizedUeCount) {
+  const CellResult result =
+      run_cell(small_cell(browser::PipelineMode::kEnergyAware));
+  const std::string bytes = serialize_cell_result(result);
+  // The per-UE count follows the version word and the fixed aggregates:
+  // 3 x 4-byte words (version, users, channels), 10 x u64 counters,
+  // mean_busy_grants, peak_busy_grants (4), mean_grant_hold, leaked_flows,
+  // end_time, sim_events.
+  constexpr std::size_t kCountOffset = 12 + 80 + 8 + 4 + 8 + 8 + 8 + 8;
+  ASSERT_EQ(BinaryReader(std::string_view(bytes).substr(kCountOffset)).u64(),
+            result.per_ue.size());
+  for (const std::uint64_t count : {~std::uint64_t{0}, std::uint64_t{1} << 40}) {
+    std::string corrupt = bytes.substr(0, kCountOffset);
+    BinaryWriter(corrupt).u64(count);
+    corrupt += bytes.substr(kCountOffset + 8);
+    EXPECT_THROW(deserialize_cell_result(corrupt), std::runtime_error)
+        << "count " << count;
+  }
+}
+
+TEST(CellTest, CellCodecLayoutIsPinned) {
+  // FNV-1a of the persisted record for the small_cell fixture, telemetry on.
+  // Supervised sweeps resume from checkpoint journals written by earlier
+  // builds, so these bytes must not drift: a deliberate layout change bumps
+  // the record version and re-records the digests.
+  const struct {
+    browser::PipelineMode mode;
+    std::uint64_t digest;
+  } pins[] = {{browser::PipelineMode::kOriginal, 0x64df02e06d52497bULL},
+              {browser::PipelineMode::kEnergyAware, 0x51a0400662db9f81ULL}};
+  for (const auto& pin : pins) {
+    auto config = small_cell(pin.mode);
+    config.telemetry_tick = 7.0;
+    EXPECT_EQ(fnv1a_64(serialize_cell_result(run_cell(config))), pin.digest)
+        << "mode " << static_cast<int>(pin.mode);
+  }
 }
 
 TEST(CellTest, SerializingTracedResultsIsRejected) {
@@ -380,10 +432,9 @@ TEST(ServiceTimeTest, MatchesDirectSingleLoads) {
   const auto times = measure_service_times(
       specs, browser::PipelineMode::kEnergyAware, config, runner);
   ASSERT_EQ(times.size(), specs.size());
-  const auto stack =
-      core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware);
   // Default 20 s reading window and seed 1, as measure_service_times uses.
-  const auto direct_path = core::ScenarioBuilder().stack(stack).build();
+  const auto direct_path =
+      core::ScenarioBuilder(browser::PipelineMode::kEnergyAware).build();
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto direct = direct_path.run_single(specs[i]);
     EXPECT_EQ(times[i], direct.metrics.transmission_time()) << specs[i].site;

@@ -38,9 +38,11 @@ std::vector<BatchJob> sweep_jobs(int count) {
   for (int i = 0; i < count; ++i) {
     BatchJob job;
     job.spec = tiny_spec(i % 4);
-    job.config = StackConfig::for_mode(i % 2 == 0
-                                           ? browser::PipelineMode::kOriginal
-                                           : browser::PipelineMode::kEnergyAware);
+    job.config = ScenarioBuilder(i % 2 == 0
+                                     ? browser::PipelineMode::kOriginal
+                                     : browser::PipelineMode::kEnergyAware)
+                     .build()
+                     .stack;
     job.reading_window = 5.0;
     job.seed = derive_seed(99, static_cast<std::uint64_t>(i));
     jobs.push_back(std::move(job));
@@ -166,7 +168,7 @@ TEST(BatchRunner, EmptyBatchReturnsEmpty) {
 TEST(BatchMemoKey, DistinguishesEveryKeyedInput) {
   BatchJob base;
   base.spec = tiny_spec(0);
-  base.config = StackConfig::for_mode(browser::PipelineMode::kOriginal);
+  base.config = ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack;
   const auto key = batch_memo_key(base);
 
   auto other = base;
@@ -217,7 +219,7 @@ TEST(BatchMemoKey, DistinguishesEveryKeyedInput) {
 BatchJob poisoned_job() {
   BatchJob job;
   job.spec = tiny_spec(0);
-  job.config = StackConfig::for_mode(browser::PipelineMode::kOriginal);
+  job.config = ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack;
   job.config.fault_plan.stall_rate = 0.5;
   job.config.retry.request_timeout = 0;  // validate_fault_wiring throws
   job.seed = 424242;
@@ -606,7 +608,7 @@ TEST(Fnv1a, MatchesReferenceVectors) {
 
 TEST(RunBenchmark, EmptySpecListYieldsZeroedAverages) {
   const auto avg = bench::run_benchmark(
-      {}, StackConfig::for_mode(browser::PipelineMode::kOriginal));
+      {}, ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack);
   EXPECT_EQ(avg.tx_time, 0.0);
   EXPECT_EQ(avg.total_time, 0.0);
   EXPECT_EQ(avg.first_display, 0.0);

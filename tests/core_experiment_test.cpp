@@ -9,15 +9,15 @@ namespace {
 
 using browser::PipelineMode;
 
-/// A built scenario over StackConfig::for_mode(mode), default window/seed.
+/// A built scenario for `mode`, default window/seed.
 Scenario scenario_for(PipelineMode mode) {
-  return ScenarioBuilder().stack(StackConfig::for_mode(mode)).build();
+  return ScenarioBuilder(mode).build();
 }
 
 TEST(Experiment, StackConfigForModeSetsForcedRelease) {
-  const auto orig = StackConfig::for_mode(browser::PipelineMode::kOriginal);
+  const auto orig = ScenarioBuilder(PipelineMode::kOriginal).build().stack;
   EXPECT_FALSE(orig.force_idle_at_tx);
-  const auto ea = StackConfig::for_mode(browser::PipelineMode::kEnergyAware);
+  const auto ea = ScenarioBuilder(PipelineMode::kEnergyAware).build().stack;
   EXPECT_TRUE(ea.force_idle_at_tx);
   EXPECT_EQ(ea.pipeline.mode, browser::PipelineMode::kEnergyAware);
 }
@@ -43,12 +43,10 @@ TEST(Experiment, EnergyAwareForcesExactlyOneRelease) {
 }
 
 TEST(Experiment, EnergyIntegralMatchesPowerTimeline) {
-  const auto result =
-      ScenarioBuilder()
-          .stack(StackConfig::for_mode(browser::PipelineMode::kOriginal))
-          .reading_window(20.0)
-          .build()
-          .run_single(corpus::m_cnn_spec());
+  const auto result = ScenarioBuilder(PipelineMode::kOriginal)
+                          .reading_window(20.0)
+                          .build()
+                          .run_single(corpus::m_cnn_spec());
   EXPECT_NEAR(result.energy.load_j,
               result.total_power.energy(0, result.metrics.final_display), 1e-9);
   EXPECT_NEAR(
@@ -58,10 +56,7 @@ TEST(Experiment, EnergyIntegralMatchesPowerTimeline) {
 
 TEST(Experiment, DeterministicForSeed) {
   const Scenario scenario =
-      ScenarioBuilder()
-          .stack(StackConfig::for_mode(browser::PipelineMode::kOriginal))
-          .seed(5)
-          .build();
+      ScenarioBuilder(PipelineMode::kOriginal).seed(5).build();
   const auto a = scenario.run_single(corpus::m_cnn_spec());
   const auto b = scenario.run_single(corpus::m_cnn_spec());
   EXPECT_DOUBLE_EQ(a.energy.load_j, b.energy.load_j);

@@ -1,11 +1,11 @@
 // ScenarioBuilder: the unified assembly path for every experiment.
 //
-// The builder must be a drop-in for the two legacy construction idioms —
-// StackConfig{} and StackConfig::for_mode — byte for byte (the memo key is
-// a canonical serialization of every StackConfig field, so key equality is
-// field-by-field equality), and its build()-time validation must reject the
-// contradictory-knob combinations that used to surface as hangs or silent
-// no-ops deep inside a run.
+// The default builder must reproduce StackConfig{} byte for byte (the memo
+// key is a canonical serialization of every StackConfig field, so key
+// equality is field-by-field equality), ScenarioBuilder(mode) must couple
+// fast dormancy to the pipeline mode, and build()-time validation must
+// reject the contradictory-knob combinations that used to surface as hangs
+// or silent no-ops deep inside a run.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -30,12 +30,18 @@ TEST(ScenarioBuilder, DefaultsMatchDefaultStackConfig) {
   EXPECT_EQ(key_of(ScenarioBuilder().build().stack), key_of(StackConfig{}));
 }
 
-TEST(ScenarioBuilder, ModeMatchesForMode) {
-  for (const auto mode : {browser::PipelineMode::kOriginal,
-                          browser::PipelineMode::kEnergyAware}) {
-    EXPECT_EQ(key_of(ScenarioBuilder(mode).build().stack),
-              key_of(StackConfig::for_mode(mode)));
-  }
+TEST(ScenarioBuilder, MemoKeyCoversHandoverFields) {
+  const StackConfig base;
+  StackConfig delay = base;
+  delay.rrc.handover_delay += 0.1;
+  StackConfig power = base;
+  power.rrc.handover_power += 0.1;
+  EXPECT_NE(key_of(delay), key_of(base));
+  EXPECT_NE(key_of(power), key_of(base));
+  EXPECT_NE(key_of(delay), key_of(power));
+}
+
+TEST(ScenarioBuilder, ModeCouplesFastDormancy) {
   // Energy-aware couples fast dormancy on; Original leaves it off.
   EXPECT_TRUE(ScenarioBuilder(browser::PipelineMode::kEnergyAware)
                   .build()

@@ -20,6 +20,8 @@
 #include "core/supervisor.hpp"
 #include "corpus/page_spec.hpp"
 #include "obs/audit.hpp"
+#include "util/bytes.hpp"
+#include "util/hash.hpp"
 
 namespace eab::metro {
 namespace {
@@ -285,7 +287,49 @@ TEST(MetroTest, SerializeRoundTripsAndRejectsGarbage) {
       run_metro(small_metro(browser::PipelineMode::kEnergyAware));
   const std::string bytes = serialize_metro_result(result);
   EXPECT_EQ(serialize_metro_result(deserialize_metro_result(bytes)), bytes);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW(
+        deserialize_metro_result(std::string_view(bytes).substr(0, len)),
+        std::runtime_error)
+        << "accepted a record truncated to " << len << " bytes";
+  }
+  EXPECT_THROW(deserialize_metro_result(bytes + '\0'), std::runtime_error);
   EXPECT_THROW(deserialize_metro_result("torn"), std::runtime_error);
+}
+
+TEST(MetroTest, MetroCodecRejectsOversizedCellCount) {
+  const MetroResult result =
+      run_metro(small_metro(browser::PipelineMode::kEnergyAware));
+  const std::string bytes = serialize_metro_result(result);
+  // The cell count follows the version word, grid_w, grid_h, total_users,
+  // 7 x u64 counters, end_time and sim_events.
+  constexpr std::size_t kCountOffset = 16 + 56 + 8 + 8;
+  ASSERT_EQ(BinaryReader(std::string_view(bytes).substr(kCountOffset)).u64(),
+            result.cells.size());
+  for (const std::uint64_t count : {~std::uint64_t{0}, std::uint64_t{1} << 40}) {
+    std::string corrupt = bytes.substr(0, kCountOffset);
+    BinaryWriter(corrupt).u64(count);
+    corrupt += bytes.substr(kCountOffset + 8);
+    EXPECT_THROW(deserialize_metro_result(corrupt), std::runtime_error)
+        << "count " << count;
+  }
+}
+
+TEST(MetroTest, MetroCodecLayoutIsPinned) {
+  // FNV-1a of the persisted record for the small_metro fixture (2x2).
+  // Supervised sweeps resume from checkpoint journals written by earlier
+  // builds, so these bytes must not drift: a deliberate layout change bumps
+  // the record version and re-records the digests.
+  const struct {
+    browser::PipelineMode mode;
+    std::uint64_t digest;
+  } pins[] = {{browser::PipelineMode::kOriginal, 0xa42746917f210808ULL},
+              {browser::PipelineMode::kEnergyAware, 0x4114ab44a6a67243ULL}};
+  for (const auto& pin : pins) {
+    EXPECT_EQ(fnv1a_64(serialize_metro_result(run_metro(small_metro(pin.mode)))),
+              pin.digest)
+        << "mode " << static_cast<int>(pin.mode);
+  }
 }
 
 TEST(MetroTest, BuilderValidatesAtBuild) {

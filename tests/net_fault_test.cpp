@@ -369,7 +369,7 @@ TEST_F(FaultedHttpFixture, WatchdogCoversPromotionTime) {
 // --- end-to-end determinism contract ------------------------------------------
 
 core::StackConfig faulted_config(browser::PipelineMode mode) {
-  auto config = core::StackConfig::for_mode(mode);
+  auto config = core::ScenarioBuilder(mode).build().stack;
   config.fault_plan.seed = 11;
   config.fault_plan.connection_loss_rate = 0.08;
   config.fault_plan.stall_rate = 0.04;
@@ -449,7 +449,8 @@ TEST(FaultDeterminism, SerialParallelAndMemoReplayAreBitIdentical) {
 TEST(FaultDeterminism, MemoKeySeparatesFaultFields) {
   core::BatchJob a;
   a.spec = corpus::full_benchmark()[0];
-  a.config = core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
+  a.config =
+      core::ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack;
   core::BatchJob b = a;
   b.config.fault_plan.connection_loss_rate = 0.1;
   core::BatchJob c = a;
@@ -463,7 +464,7 @@ TEST(FaultDeterminism, ZeroFaultPlanMatchesNoPlanBitForBit) {
   const auto spec = corpus::mobile_benchmark()[0];
   for (const auto mode : {browser::PipelineMode::kOriginal,
                           browser::PipelineMode::kEnergyAware}) {
-    const auto plain = core::StackConfig::for_mode(mode);
+    const auto plain = core::ScenarioBuilder(mode).build().stack;
     auto zeroed = plain;
     zeroed.fault_plan = net::FaultPlan{};  // disabled by construction
     zeroed.fault_plan.seed = 999;  // a disabled plan's seed must not leak
@@ -477,7 +478,8 @@ TEST(FaultDeterminism, ZeroFaultPlanMatchesNoPlanBitForBit) {
 }
 
 TEST(FaultDeterminism, StallWithoutWatchdogIsRejected) {
-  auto config = core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
+  auto config =
+      core::ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack;
   config.fault_plan.stall_rate = 0.5;
   config.retry.request_timeout = 0.0;
   EXPECT_THROW(core::ScenarioBuilder().stack(config).build(),
@@ -495,7 +497,7 @@ TEST(FaultedPipeline, LoadsFinishGracefullyUnderHeavyLoss) {
   const auto specs = corpus::full_benchmark();
   for (const auto mode : {browser::PipelineMode::kOriginal,
                           browser::PipelineMode::kEnergyAware}) {
-    auto config = core::StackConfig::for_mode(mode);
+    auto config = core::ScenarioBuilder(mode).build().stack;
     config.fault_plan.seed = 77;
     config.fault_plan.connection_loss_rate = 0.15;
     config.fault_plan.stall_rate = 0.10;
@@ -517,7 +519,8 @@ TEST(FaultedPipeline, LoadsFinishGracefullyUnderHeavyLoss) {
 }
 
 TEST(FaultedPipeline, DegradedLoadIsDeterministic) {
-  auto config = core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware);
+  auto config =
+      core::ScenarioBuilder(browser::PipelineMode::kEnergyAware).build().stack;
   config.fault_plan.seed = 5;
   config.fault_plan.truncate_rate = 0.3;
   config.fault_plan.connection_loss_rate = 0.2;

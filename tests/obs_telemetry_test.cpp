@@ -16,6 +16,7 @@
 #include "cell/cell.hpp"
 #include "core/scenario.hpp"
 #include "core/supervisor.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace eab::obs {
@@ -277,6 +278,16 @@ TEST(TelemetryTest, CodecRoundTripsAndRejectsDamage) {
                std::invalid_argument);
   EXPECT_THROW(Telemetry(TelemetryConfig{1.0, 1, false}),
                std::invalid_argument);
+  // A checksum-valid record carrying such a header is malformed input, and
+  // decoders report malformed input as std::runtime_error.
+  for (const TelemetryConfig bad : {TelemetryConfig{0.0, 8, false},
+                                    TelemetryConfig{1.0, 1, false}}) {
+    std::string sealed;
+    BinaryWriter w(sealed);
+    w(bad.tick, bad.point_budget, bad.per_ue, std::uint64_t{0});
+    w.seal();
+    EXPECT_THROW(Telemetry::from_bytes(sealed), std::runtime_error);
+  }
 }
 
 // --- cell integration: the determinism contract ----------------------------

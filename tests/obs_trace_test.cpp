@@ -41,7 +41,7 @@ corpus::PageSpec tiny_spec(int variant) {
 }
 
 core::StackConfig traced_config(browser::PipelineMode mode) {
-  auto config = core::StackConfig::for_mode(mode);
+  auto config = core::ScenarioBuilder(mode).build().stack;
   config.trace = true;
   return config;
 }
@@ -157,6 +157,28 @@ TEST(MetricsRegistry, JsonIsDeterministic) {
   EXPECT_NE(a.to_json().find("\"alpha\""), std::string::npos);
 }
 
+TEST(MetricsRegistry, CodecRejectsTornPaddedAndBadKindRecords) {
+  MetricsRegistry m;
+  m.count("jobs", 3);
+  m.set_max("peak", 7.5);
+  m.observe("load_s", 0.3);
+  m.observe("load_s", 42.0);
+  const std::string bytes = m.to_bytes();
+  EXPECT_TRUE(MetricsRegistry::from_bytes(bytes).same_as(m));
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW(
+        MetricsRegistry::from_bytes(std::string_view(bytes).substr(0, len)),
+        std::runtime_error)
+        << "accepted a record truncated to " << len << " bytes";
+  }
+  EXPECT_THROW(MetricsRegistry::from_bytes(bytes + '\0'), std::runtime_error);
+  // The first entry's kind byte follows the u64 entry count and its
+  // u64-length-prefixed name ("jobs" sorts first).
+  std::string bad_kind = bytes;
+  bad_kind[8 + 8 + 4] = 3;
+  EXPECT_THROW(MetricsRegistry::from_bytes(bad_kind), std::runtime_error);
+}
+
 TEST(Simulator, TracksCancellationAndHeapCounters) {
   sim::Simulator sim;
   const auto keep = sim.schedule_in(1.0, [] {});
@@ -177,7 +199,7 @@ TEST(ObsIdentity, TracingChangesNoResult) {
   const auto spec = tiny_spec(0);
   for (const auto mode : {browser::PipelineMode::kOriginal,
                           browser::PipelineMode::kEnergyAware}) {
-    auto plain_cfg = core::StackConfig::for_mode(mode);
+    auto plain_cfg = core::ScenarioBuilder(mode).build().stack;
     const auto traced_cfg = traced_config(mode);
     const auto plain = scenario_of(plain_cfg).run_single(spec);
     const auto traced = scenario_of(traced_cfg).run_single(spec);

@@ -46,7 +46,7 @@ TEST(Profiles, LteHasNoSharedChannelDataPath) {
 
 TEST(Profiles, PagesLoadFasterOnLte) {
   core::StackConfig umts_cfg =
-      core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
+      core::ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack;
   core::StackConfig lte_cfg = umts_cfg;
   const RadioProfile lte = lte_profile();
   lte_cfg.rrc = lte.rrc;
@@ -65,9 +65,9 @@ TEST(Profiles, PagesLoadFasterOnLte) {
 TEST(Profiles, TechniqueStillWinsOnLte) {
   const RadioProfile lte = lte_profile();
   core::StackConfig orig_cfg =
-      core::StackConfig::for_mode(browser::PipelineMode::kOriginal);
+      core::ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack;
   core::StackConfig ea_cfg =
-      core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware);
+      core::ScenarioBuilder(browser::PipelineMode::kEnergyAware).build().stack;
   for (core::StackConfig* config : {&orig_cfg, &ea_cfg}) {
     config->rrc = lte.rrc;
     config->power = lte.power;
@@ -78,13 +78,12 @@ TEST(Profiles, TechniqueStillWinsOnLte) {
   const auto ea = scenario_of(ea_cfg).run_single(spec);
   EXPECT_LT(ea.energy.with_reading_j, orig.energy.with_reading_j);
   // ...but the absolute joules recovered shrink vs UMTS.
-  const auto umts_orig =
-      scenario_of(core::StackConfig::for_mode(browser::PipelineMode::kOriginal))
-          .run_single(spec);
-  const auto umts_ea =
-      scenario_of(
-          core::StackConfig::for_mode(browser::PipelineMode::kEnergyAware))
-          .run_single(spec);
+  const auto umts_orig = core::ScenarioBuilder(browser::PipelineMode::kOriginal)
+                             .build()
+                             .run_single(spec);
+  const auto umts_ea = core::ScenarioBuilder(browser::PipelineMode::kEnergyAware)
+                           .build()
+                           .run_single(spec);
   const Joules saved_umts = umts_orig.energy.with_reading_j - umts_ea.energy.with_reading_j;
   const Joules saved_lte = orig.energy.with_reading_j - ea.energy.with_reading_j;
   EXPECT_LT(saved_lte, saved_umts);
@@ -92,8 +91,8 @@ TEST(Profiles, TechniqueStillWinsOnLte) {
 
 TEST(Proxy, BundlesTheWholePageIntoOneStream) {
   const auto spec = corpus::espn_sports_spec();
-  const core::Scenario scenario = scenario_of(
-      core::StackConfig::for_mode(browser::PipelineMode::kOriginal));
+  const core::Scenario scenario =
+      core::ScenarioBuilder(browser::PipelineMode::kOriginal).build();
   const auto proxy = scenario.run_proxy(spec);
   const auto direct = scenario.run_single(spec);
 
@@ -110,10 +109,7 @@ TEST(Proxy, BundlesTheWholePageIntoOneStream) {
 TEST(Proxy, DeterministicAndSeedSensitive) {
   const auto spec = corpus::m_cnn_spec();
   const core::Scenario scenario =
-      core::ScenarioBuilder()
-          .stack(core::StackConfig::for_mode(browser::PipelineMode::kOriginal))
-          .seed(5)
-          .build();
+      core::ScenarioBuilder(browser::PipelineMode::kOriginal).seed(5).build();
   const auto a = scenario.run_proxy(spec);
   const auto b = scenario.run_proxy(spec);
   EXPECT_DOUBLE_EQ(a.energy.with_reading_j, b.energy.with_reading_j);
@@ -122,8 +118,8 @@ TEST(Proxy, DeterministicAndSeedSensitive) {
 
 TEST(Proxy, CompressionRatioScalesBundle) {
   const auto spec = corpus::m_cnn_spec();
-  const core::Scenario scenario = scenario_of(
-      core::StackConfig::for_mode(browser::PipelineMode::kOriginal));
+  const core::Scenario scenario =
+      core::ScenarioBuilder(browser::PipelineMode::kOriginal).build();
   core::ProxyConfig heavy;
   heavy.compression_ratio = 0.8;
   core::ProxyConfig light;
