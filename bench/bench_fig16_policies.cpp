@@ -35,10 +35,9 @@ SessionTotals run_policy(
   config.threshold = threshold;
   config.predictor.model = model;
   const bool traced = bench::trace_enabled();
+  config.stack.trace = traced;
   std::uint64_t seed = 1;
   for (const auto& visits : sessions) {
-    obs::TraceRecorder recorder;
-    config.trace = traced ? &recorder : nullptr;
     const auto result = core::run_session(visits, config, seed++);
     totals.energy += result.energy.with_reading_j;
     if (result.energy.window_s < horizon_per_user) {
@@ -53,7 +52,7 @@ SessionTotals run_policy(
       inputs.max_retries = config.stack.retry.max_retries;
       inputs.radio_energy = result.energy.radio_j;
       inputs.t_end = result.energy.window_s;
-      const auto report = obs::TraceAuditor().audit(recorder, inputs);
+      const auto report = obs::TraceAuditor().audit(*result.trace, inputs);
       if (!report.ok()) {
         ++totals.audit_failures;
         std::printf("AUDIT FAIL [%s user %llu]:\n%s\n",

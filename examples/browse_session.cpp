@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "core/scenario.hpp"
+#include "core/session.hpp"
 #include "corpus/page_spec.hpp"
 #include "gbrt/model.hpp"
 #include "trace/reading_model.hpp"

@@ -39,6 +39,16 @@ cmake --build build-asan -j "$JOBS" \
 ./build-asan/tests/net_fault_test
 ./build-asan/tests/net_http_test
 ./build-asan/tests/web_robustness_test
+# The UE stack every driver is built on (core::UeStack): the CPU scheduler
+# disarms an aborted load's running task, and the single-load and session
+# pins run every optional layer (faults, outages, cache storms, RIL
+# failures, aborts, tracing) through one wiring.
+cmake --build build-asan -j "$JOBS" \
+  --target browser_cpu_test --target core_scenario_test \
+  --target core_session_test
+./build-asan/tests/browser_cpu_test
+./build-asan/tests/core_scenario_test
+./build-asan/tests/core_session_test
 
 echo "== chaos: seeded sweep + reproducer corpus replay =="
 # 256 seed-derived cross-layer fault scenarios (net faults, RIL failures,
@@ -64,9 +74,10 @@ cmake --build build-asan -j "$JOBS" --target cell_test
 # 16 seeds under ASan: half the in-process sweep, same fault atoms.  The
 # cell codec tests ride along: the decoder parses bytes from worker pipes
 # and crash journals, so torn, padded and oversized-count records run under
-# ASan too.
+# ASan too.  The round-trip test runs with abort_rate 0.2: an aborted
+# load's running JS task must not call back into the freed PageLoad.
 EAB_CELL_CHAOS_SEEDS=16 ./build-asan/tests/cell_test \
-  --gtest_filter='CellTest.ChaosSweepOverCellScenarios:CellTest.GrantExhaustionDropsSessionsAndStaysClean:CellTest.SameSeedSameResult:CellTest.CellCodecRejectsTornAndPaddedRecords:CellTest.CellCodecRejectsOversizedUeCount:CellTest.CellCodecLayoutIsPinned'
+  --gtest_filter='CellTest.ChaosSweepOverCellScenarios:CellTest.GrantExhaustionDropsSessionsAndStaysClean:CellTest.SameSeedSameResult:CellTest.CellCodecRejectsTornAndPaddedRecords:CellTest.CellCodecRejectsOversizedUeCount:CellTest.CellCodecLayoutIsPinned:CellTest.CellResultSerializationRoundTripsBitExactly'
 # A small --cell bench run end-to-end: knobs parse, JSON lands, exit 0.
 (cd build/bench && EAB_CELL_USERS=8 EAB_CELL_SEED=3 ./bench_fig11_capacity --cell > /dev/null)
 echo "cell checks passed"

@@ -30,6 +30,7 @@ bool CpuScheduler::cancel(TaskId id) {
 std::size_t CpuScheduler::drop_queued() {
   const std::size_t dropped = queue_.size();
   queue_.clear();
+  running_done_ = nullptr;
   return dropped;
 }
 
@@ -48,8 +49,11 @@ void CpuScheduler::start_next() {
   Task task = std::move(queue_.front());
   queue_.pop_front();
   busy_time_ += task.cost;
-  sim_.schedule_in(task.cost, [this, done = std::move(task.done)]() mutable {
-    done();
+  running_done_ = std::move(task.done);
+  sim_.schedule_in(task.cost, [this] {
+    const OnDone done = std::move(running_done_);
+    running_done_ = nullptr;
+    if (done) done();
     start_next();
   });
 }

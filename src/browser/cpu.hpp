@@ -45,9 +45,11 @@ class CpuScheduler {
   bool cancel(TaskId id);
 
   /// Drops every task that has not started yet (an aborted page load stops
-  /// rendering immediately; queued work must not keep burning CPU energy).
-  /// The currently-running task, if any, still completes.  Returns the
-  /// number of tasks dropped.
+  /// rendering immediately; queued work must not keep burning CPU energy)
+  /// and disarms the running task's callback: the load that submitted it
+  /// may be freed before the task ends.  The running task still uses up
+  /// its CPU time, so the power timeline is unchanged.  Returns the number
+  /// of queued tasks dropped.
   std::size_t drop_queued();
 
   bool busy() const { return running_; }
@@ -73,6 +75,7 @@ class CpuScheduler {
   std::uint64_t next_id_ = 1;
   bool running_ = false;
   std::deque<Task> queue_;
+  OnDone running_done_;  ///< the running task's callback; empty = disarmed
   Seconds busy_time_ = 0;
   PowerTimeline power_;
 };

@@ -53,10 +53,11 @@ bool PageLoad::abort() {
   metrics_.final_display = sim_.now();
   if (metrics_.first_display == 0) metrics_.first_display = sim_.now();
 
-  // Tear down in dependency order: queued CPU work (nothing new may run),
-  // the pending intermediate reflow, then every unsettled fetch — which
-  // cancels link flows and releases RRC transfer markers, leaving the radio
-  // to its inactivity timers.
+  // Tear down in dependency order: CPU work (nothing queued may run, and
+  // the running task will not call back, since a driver may free this load
+  // before that task ends), the pending intermediate reflow, then every
+  // unsettled fetch — which cancels link flows and releases RRC transfer
+  // markers, leaving the radio to its inactivity timers.
   cpu_.cancel(pending_reflow_);
   pending_reflow_ = {};
   redraw_queued_ = false;

@@ -25,6 +25,29 @@ constexpr std::uint64_t kOutageStream = 0x00A1'55EE'0000'0004ULL;
 /// many bytes weighs half of a fresh one.
 constexpr double kFairShareRefBytes = 1024.0 * 1024.0;
 
+/// Any outage knob on, per-UE or whole-cell: every UE then gets an
+/// OutageInjector and the cell registers its radio-failure accounting.
+bool outage_enabled(const CellConfig& config) {
+  return config.per_ue.stack.outage.enabled() || config.cell_outage_count > 0;
+}
+
+/// The UE's fault and outage plans, re-seeded from its own seed.  A
+/// disabled per-UE outage plan still gets an injector when whole-cell
+/// outages are on: it schedules no windows of its own and exists so
+/// cell_outage_begin/end can drive coverage (and so the plan's
+/// reestablish_fail_rate applies to cell-driven re-establishment too).
+core::UePlans ue_plans(const CellConfig& config, int id, std::uint64_t seed) {
+  const core::StackConfig& stack = config.per_ue.stack;
+  core::UePlans plans;
+  plans.ue_id = static_cast<std::uint64_t>(id);
+  plans.faults = stack.fault_plan;
+  plans.faults.seed = derive_seed(seed, kFaultStream);
+  plans.outage = stack.outage;
+  plans.outage.seed = derive_seed(seed, kOutageStream);
+  plans.outage_injector = outage_enabled(config);
+  return plans;
+}
+
 }  // namespace
 
 void validate_cell_config(const CellConfig& config) {
@@ -95,13 +118,10 @@ void validate_cell_config(const CellConfig& config) {
 
 CellUe::CellUe(sim::Simulator& sim, const CellConfig& config, int id_,
                std::uint64_t seed_)
-    : id(id_),
+    : core::UeStack(sim, config.per_ue.stack, ue_plans(config, id_, seed_)),
+      id(id_),
       seed(seed_),
       rng(derive_seed(seed, kArrivalStream)),
-      rrc(sim, config.per_ue.stack.rrc, config.per_ue.stack.power),
-      link(sim, config.per_ue.stack.link.dch_bandwidth),
-      cpu(sim, config.per_ue.stack.power.cpu_busy_extra),
-      ril(sim, rrc),
       generator(derive_seed(seed, kGeneratorStream)),
       hosted_urls(config.specs.size()) {}
 
@@ -115,8 +135,7 @@ CellSim::CellSim(sim::Simulator& sim, const CellConfig& config,
       cell_rate_(config.cell_bandwidth > 0
                      ? config.cell_bandwidth
                      : config.channels * per_ue_rate_),
-      outage_enabled_(config.per_ue.stack.outage.enabled() ||
-                      config.cell_outage_count > 0),
+      outage_enabled_(outage_enabled(config)),
       ticks_(ticks) {
   if (config.telemetry_tick > 0) {
     if (ticks_ == nullptr) {
@@ -156,45 +175,6 @@ void CellSim::schedule_cell_outages() {
 }
 
 void CellSim::wire(CellUe& ue) {
-  const auto& stack = config_.per_ue.stack;
-  if (stack.fault_plan.enabled()) {
-    net::FaultPlan plan = stack.fault_plan;
-    plan.seed = derive_seed(ue.seed, kFaultStream);
-    ue.faults.emplace(sim_, ue.link, plan);
-  }
-  if (outage_enabled_) {
-    // A disabled per-UE plan still gets an injector when whole-cell
-    // outages are on: it schedules no windows of its own and exists so
-    // cell_outage_begin/end can drive coverage (and so the plan's
-    // reestablish_fail_rate applies to cell-driven re-establishment too).
-    radio::OutagePlan plan = stack.outage;
-    plan.seed = derive_seed(ue.seed, kOutageStream);
-    ue.outage.emplace(sim_, ue.link, ue.rrc, plan, ue.id);
-    ue.rrc.set_on_rlf([&ue] {
-      if (ue.client) ue.client->on_radio_lost();
-    });
-  }
-  if (stack.use_browser_cache) {
-    ue.cache.emplace(stack.browser_cache_bytes);
-    if (stack.chaos.cache_storm_count > 0) {
-      for (int i = 0; i < stack.chaos.cache_storm_count; ++i) {
-        sim_.schedule_at(
-            stack.chaos.cache_storm_start + i * stack.chaos.cache_storm_period,
-            [&ue] { ue.cache->clear(); });
-      }
-    }
-  }
-  if (stack.chaos.ril_socket_failures > 0) {
-    ue.ril.fail_next(stack.chaos.ril_socket_failures);
-  }
-  if (stack.trace) {
-    ue.trace = std::make_shared<obs::TraceRecorder>();
-    ue.rrc.set_trace(ue.trace.get());
-    ue.link.set_trace(ue.trace.get());
-    ue.ril.set_trace(ue.trace.get());
-    if (ue.faults) ue.faults->set_trace(ue.trace.get());
-    if (ue.outage) ue.outage->set_trace(ue.trace.get());
-  }
   // Hooks route through ue.cell, the SERVING cell: after a reselection or
   // handover the UE's grant transitions and rebalances land in the right
   // scheduler without re-wiring.
@@ -438,30 +418,15 @@ void CellSim::begin_load(CellUe& ue, std::size_t spec_index, bool wants_abort,
   ue.client.reset();
   ++ue.generation;
 
-  const auto& stack = config_.per_ue.stack;
   const corpus::PageSpec& spec = config_.specs[spec_index];
   if (ue.hosted_urls[spec_index].empty()) {
     ue.hosted_urls[spec_index] = ue.generator.host_page(spec, ue.server);
   }
-  ue.client = std::make_unique<net::HttpClient>(
-      sim_, ue.server, ue.link, ue.rrc, stack.link,
-      stack.max_parallel_connections);
-  ue.client->set_retry_policy(stack.retry);
-  if (ue.faults) ue.client->set_fault_injector(&*ue.faults);
-  if (ue.cache) ue.client->set_cache(&*ue.cache);
-  if (ue.trace) ue.client->set_trace(ue.trace.get());
-
-  browser::PipelineConfig pipeline = stack.pipeline;
-  pipeline.mobile_page = spec.mobile;
+  ue.client = ue.make_client(ue.server);
   const std::uint64_t load_seed = derive_seed(
       ue.seed, static_cast<std::uint64_t>(ue.sessions_started));
   ++ue.sessions_started;
-  ue.load = std::make_unique<browser::PageLoad>(sim_, *ue.client, ue.cpu,
-                                                pipeline, load_seed);
-  if (stack.force_idle_at_tx) {
-    ue.load->set_on_transmission_complete([&ue] { ue.ril.request_idle(); });
-  }
-  if (ue.trace) ue.load->set_trace(ue.trace.get());
+  ue.load = ue.make_load(*ue.client, spec, load_seed);
 
   ue.session_active = true;
   const int gen = ue.generation;

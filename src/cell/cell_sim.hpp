@@ -29,23 +29,15 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "browser/cpu.hpp"
 #include "browser/pipeline.hpp"
 #include "cell/cell.hpp"
-#include "core/ril.hpp"
+#include "core/ue_stack.hpp"
 #include "corpus/generator.hpp"
-#include "net/cache.hpp"
-#include "net/fault.hpp"
 #include "net/http_client.hpp"
-#include "net/outage.hpp"
-#include "net/shared_link.hpp"
 #include "net/web_server.hpp"
-#include "obs/trace.hpp"
-#include "radio/rrc.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/timeline.hpp"
@@ -64,25 +56,20 @@ enum class Grant { kFree, kReserved, kHeld };
 
 class CellSim;
 
-/// One UE's full stack plus its cell-membership state.  Constructed via
-/// CellSim::make_ue (which wires the hooks); owned by the driver.
-struct CellUe {
+/// One UE: its phone (core::UeStack, the same stack a single load or a
+/// session runs on, with the fault and outage plans re-seeded per UE) plus
+/// its session process and cell-membership state.  Constructed via
+/// CellSim::make_ue (which attaches the cell's grant and rebalance hooks);
+/// owned by the driver.
+struct CellUe : core::UeStack {
   int id;               ///< globally unique across the whole run
   std::uint64_t seed;   ///< derive_seed(cell_seed, local_index)
   Rng rng;              ///< arrival/spec/abort decision stream
-  radio::RrcMachine rrc;
-  net::SharedLink link;
-  browser::CpuScheduler cpu;
-  core::RilStateSwitcher ril;
   net::WebServer server;
   corpus::PageGenerator generator;
-  std::optional<net::FaultInjector> faults;
-  std::optional<net::OutageInjector> outage;
-  std::optional<net::ResourceCache> cache;
   std::vector<std::string> hosted_urls;  ///< per spec index, "" = unhosted
   std::unique_ptr<net::HttpClient> client;
   std::unique_ptr<browser::PageLoad> load;
-  std::shared_ptr<obs::TraceRecorder> trace;
   int generation = 0;        ///< bumps on every teardown; stale events no-op
   int sessions_started = 0;  ///< per-load seed index
   UeStats stats;
@@ -154,10 +141,9 @@ class CellSim {
   // --- construction-time registration (driver sets the schedule shard
   //     before each call; events scheduled inside inherit it) -------------
 
-  /// Builds a UE homed in this cell, wires its hooks (grant transitions,
-  /// fault/outage/cache/trace plumbing, bandwidth observer) and registers
-  /// it as a member.  The caller owns the UE and must keep it alive until
-  /// finalize().
+  /// Builds a UE homed in this cell, attaches its grant and rebalance
+  /// hooks and registers it as a member.  The caller owns the UE and must
+  /// keep it alive until finalize().
   std::unique_ptr<CellUe> make_ue(int id, std::uint64_t seed);
 
   /// Schedules this cell's whole-cell outage windows (no-op when
@@ -195,8 +181,8 @@ class CellSim {
   CellResult finalize(Seconds end, std::uint64_t sim_events);
 
  private:
-  /// Attaches grant hooks, fault/cache/trace plumbing and the bandwidth
-  /// observer; everything that outlives individual sessions.
+  /// Attaches the grant-transition and bandwidth-rebalance hooks; the rest
+  /// of the phone is wired by core::UeStack.
   void wire(CellUe& ue);
 
   // --- grant pool ---------------------------------------------------------

@@ -29,11 +29,6 @@
 
 namespace eab::core {
 
-// The memo cache's hash function lives in util/hash.hpp (the fault layer
-// seeds per-URL decisions with the same function); keep the historical
-// core::fnv1a_64 name valid.
-using ::eab::fnv1a_64;
-
 /// One unit of batch work: a single page load and its reading window.
 struct BatchJob {
   corpus::PageSpec spec;

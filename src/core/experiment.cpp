@@ -1,12 +1,11 @@
 #include "core/experiment.hpp"
 
-#include <optional>
+#include <memory>
 #include <stdexcept>
 
 #include "core/ril.hpp"
 #include "core/scenario.hpp"
-#include "net/cache.hpp"
-#include "net/outage.hpp"
+#include "core/ue_stack.hpp"
 #include "net/socket_downloader.hpp"
 #include "sim/simulator.hpp"
 
@@ -29,80 +28,23 @@ SingleLoadResult Scenario::run_single(const corpus::PageSpec& spec) const {
   corpus::PageGenerator generator(seed);
   const std::string url = generator.host_page(spec, server);
 
-  radio::RrcMachine rrc(sim, stack.rrc, stack.power);
-  net::SharedLink link(sim, stack.link.dch_bandwidth);
-  net::HttpClient client(sim, server, link, rrc, stack.link,
-                         stack.max_parallel_connections);
-  browser::CpuScheduler cpu(sim, stack.power.cpu_busy_extra);
-  RilStateSwitcher ril(sim, rrc);
-
-  validate_fault_wiring(stack);
-  client.set_retry_policy(stack.retry);
-  // Only an enabled plan instantiates the injector: a disabled one must
-  // leave the event stream (and thus sim_events) untouched.
-  std::optional<net::FaultInjector> faults;
-  if (stack.fault_plan.enabled()) {
-    faults.emplace(sim, link, stack.fault_plan);
-    client.set_fault_injector(&*faults);
-  }
-  // Same null-path discipline for the coverage process: only an enabled
-  // outage plan instantiates the injector or touches the RRC hooks.
-  std::optional<net::OutageInjector> outage;
-  if (stack.outage.enabled()) {
-    outage.emplace(sim, link, rrc, stack.outage, /*ue_id=*/0);
-    rrc.set_on_rlf([&client] { client.on_radio_lost(); });
-  }
-  // Per-load browser cache.  A single cold load never revisits a URL (the
-  // pipeline dedupes requests), so attaching one is behavior-neutral unless
-  // a chaos cache storm is also flushing it mid-load.
-  std::optional<net::ResourceCache> cache;
-  if (stack.use_browser_cache) {
-    cache.emplace(stack.browser_cache_bytes);
-    client.set_cache(&*cache);
-  }
-
-  // Chaos directives (all inert at their zero values).
-  const ChaosDirectives& chaos = stack.chaos;
-  if (chaos.ril_socket_failures > 0) {
-    ril.fail_next(chaos.ril_socket_failures);
-  }
-  if (cache && chaos.cache_storm_count > 0) {
-    for (int i = 0; i < chaos.cache_storm_count; ++i) {
-      sim.schedule_at(chaos.cache_storm_start + i * chaos.cache_storm_period,
-                      [&cache] { cache->clear(); });
-    }
-  }
-
-  browser::PipelineConfig pipeline_config = stack.pipeline;
-  pipeline_config.mobile_page = spec.mobile;
-  browser::PageLoad load(sim, client, cpu, pipeline_config, seed ^ 0x9E3779B9);
-  if (stack.force_idle_at_tx) {
-    load.set_on_transmission_complete([&ril] { ril.request_idle(); });
-  }
-
-  std::shared_ptr<obs::TraceRecorder> recorder;
-  if (stack.trace) {
-    recorder = std::make_shared<obs::TraceRecorder>();
-    rrc.set_trace(recorder.get());
-    link.set_trace(recorder.get());
-    client.set_trace(recorder.get());
-    if (faults) faults->set_trace(recorder.get());
-    if (outage) outage->set_trace(recorder.get());
-    load.set_trace(recorder.get());
-    ril.set_trace(recorder.get());
-  }
+  UeStack ue(sim, stack);
+  const std::unique_ptr<net::HttpClient> client = ue.make_client(server);
+  const std::unique_ptr<browser::PageLoad> load =
+      ue.make_load(*client, spec, seed ^ 0x9E3779B9);
+  radio::RrcMachine& rrc = ue.rrc;
 
   bool done = false;
   browser::LoadMetrics metrics;
-  load.start(url, [&done, &metrics](const browser::LoadMetrics& m) {
+  load->start(url, [&done, &metrics](const browser::LoadMetrics& m) {
     done = true;
     metrics = m;
   });
   // User abort: scheduled after start() so a load that finishes first makes
   // abort() a no-op.  The teardown settles every unsettled fetch, so `done`
   // flips through the same on_loaded path with metrics.aborted set.
-  if (chaos.abort_at > 0) {
-    sim.schedule_at(chaos.abort_at, [&load] { load.abort(); });
+  if (stack.chaos.abort_at > 0) {
+    sim.schedule_at(stack.chaos.abort_at, [&load] { load->abort(); });
   }
   while (!done && sim.step()) {
   }
@@ -114,11 +56,11 @@ SingleLoadResult Scenario::run_single(const corpus::PageSpec& spec) const {
 
   SingleLoadResult result;
   result.metrics = metrics;
-  result.features = load.features();
-  result.geometry = load.geometry();
+  result.features = load->features();
+  result.geometry = load->geometry();
   result.reading_window = reading_window;
-  result.total_power = PowerTimeline::sum(rrc.power(), cpu.power());
-  result.link_rate = link.rate_history();
+  result.total_power = PowerTimeline::sum(rrc.power(), ue.cpu.power());
+  result.link_rate = ue.link.rate_history();
   result.energy =
       EnergyReport::measure(result.total_power, rrc.power(),
                             metrics.final_display,
@@ -128,19 +70,19 @@ SingleLoadResult Scenario::run_single(const corpus::PageSpec& spec) const {
   result.idle_promotions = rrc.idle_promotions();
   result.forced_releases = rrc.forced_releases();
   result.bytes_fetched = metrics.bytes_fetched;
-  result.fetch_retries = static_cast<int>(client.stats().retries);
-  result.fetch_timeouts = static_cast<int>(client.stats().timeouts);
+  result.fetch_retries = static_cast<int>(client->stats().retries);
+  result.fetch_timeouts = static_cast<int>(client->stats().timeouts);
   result.failed_resources = metrics.failed_resources;
   result.truncated_resources = metrics.truncated_resources;
-  result.link_fades = faults ? faults->fades_started() : 0;
-  result.radio_outages = outage ? outage->outages_started() : 0;
+  result.link_fades = ue.faults ? ue.faults->fades_started() : 0;
+  result.radio_outages = ue.outage ? ue.outage->outages_started() : 0;
   result.rlf_count = rrc.rlf_count();
   result.reestablish_ok = rrc.reestablish_ok();
   result.reestablish_fail = rrc.reestablish_fail();
   result.out_of_service_time = rrc.time_in(radio::RrcState::kOutOfService);
   result.sim_events = sim.fired_count();
-  result.dom_signature = load.dom().signature();
-  result.trace = std::move(recorder);
+  result.dom_signature = load->dom().signature();
+  result.trace = ue.trace;
 
   obs::MetricsRegistry& m = result.job_metrics;
   m.count("sim.events_fired", static_cast<double>(sim.fired_count()));
@@ -148,7 +90,7 @@ SingleLoadResult Scenario::run_single(const corpus::PageSpec& spec) const {
   m.count("sim.tombstones_popped",
           static_cast<double>(sim.tombstones_popped()));
   m.set_max("sim.peak_heap", static_cast<double>(sim.peak_heap_size()));
-  const net::HttpClientStats& http = client.stats();
+  const net::HttpClientStats& http = client->stats();
   m.count("http.fetches", static_cast<double>(http.fetches));
   m.count("http.cache_hits", static_cast<double>(http.cache_hits));
   m.count("http.retries", static_cast<double>(http.retries));

@@ -1,12 +1,13 @@
 // Single-load experiment stack: its configuration and result types.
 //
 // Scenario::run_single (scenario.hpp, defined in experiment.cpp) assembles
-// the full system — simulator, web server with a generated page,
-// RRC radio, shared downlink, HTTP client, CPU, one of the two pipelines —
-// runs one page load plus a reading window, and returns every quantity the
-// paper's figures report: timings, Table 1 features, energy integrals, the
-// whole-phone power trace (Fig 1/9), the link-rate trace (Fig 4) and the DCH
-// residency that feeds the capacity model (Fig 11).
+// the full system — simulator, web server with a generated page and the
+// phone (core::UeStack: RRC radio, shared downlink, HTTP client, CPU, one
+// of the two pipelines) — runs one page load plus a reading window, and
+// returns every quantity the paper's figures report: timings, Table 1
+// features, energy integrals, the whole-phone power trace (Fig 1/9), the
+// link-rate trace (Fig 4) and the DCH residency that feeds the capacity
+// model (Fig 11).
 #pragma once
 
 #include <memory>
@@ -132,8 +133,8 @@ struct SingleLoadResult {
 };
 
 /// Rejects fault/retry combinations that could hang a simulation (a stall
-/// rate with no watchdog).  Called by every stack assembler; exposed so
-/// other harnesses wiring their own stacks can share the check.
+/// rate with no watchdog).  Called by ScenarioBuilder::build() and by
+/// core::UeStack, which every driver's phone is built on.
 void validate_fault_wiring(const StackConfig& config);
 
 /// The Fig 4 comparator: pull `bytes` through a raw socket, no browser.

@@ -50,15 +50,4 @@ Scenario ScenarioBuilder::build() const {
   return scenario_;
 }
 
-SessionConfig ScenarioBuilder::build_session(SessionPolicy policy) const {
-  const Scenario checked = build();
-  SessionConfig config;
-  config.stack = checked.stack;
-  config.policy = policy;
-  // Unified defaults: the session consumes the same chaos directive for RIL
-  // socket failures instead of a silently separate knob.
-  config.ril_socket_failures = checked.stack.chaos.ril_socket_failures;
-  return config;
-}
-
 }  // namespace eab::core

@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "core/experiment.hpp"
-#include "core/session.hpp"
 
 namespace eab::core {
 
@@ -140,13 +139,6 @@ class ScenarioBuilder {
   ///   - max_parallel_connections < 1, negative reading window, negative
   ///     chaos timings, negative retry counts/backoffs
   Scenario build() const;
-
-  /// Same validation, then wraps the stack in a SessionConfig for the given
-  /// policy.  This is the one place single-load and session defaults are
-  /// unified: the session inherits the builder's retry policy and cache
-  /// knobs verbatim instead of diverging silently (run_session derives the
-  /// pipeline mode from the policy, so mode() is ignored here).
-  SessionConfig build_session(SessionPolicy policy) const;
 
  private:
   Scenario scenario_;

@@ -2,13 +2,10 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <set>
 #include <stdexcept>
 
-#include "core/ril.hpp"
-#include "net/fault.hpp"
-#include "net/outage.hpp"
+#include "core/ue_stack.hpp"
 #include "sim/simulator.hpp"
 
 namespace eab::core {
@@ -57,47 +54,26 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
     }
   }
 
-  radio::RrcMachine rrc(sim, config.stack.rrc, config.stack.power);
-  net::SharedLink link(sim, config.stack.link.dch_bandwidth);
-  browser::CpuScheduler cpu(sim, config.stack.power.cpu_busy_extra);
-  RilStateSwitcher ril(sim, rrc);
-  if (config.ril_socket_failures > 0) ril.fail_next(config.ril_socket_failures);
-  net::ResourceCache cache(config.stack.browser_cache_bytes);
-
-  // One injector for the whole session: fade windows are absolute-time
-  // events on the shared link, and per-request outcomes are stateless.
-  validate_fault_wiring(config.stack);
-  std::optional<net::FaultInjector> faults;
-  if (config.stack.fault_plan.enabled()) {
-    faults.emplace(sim, link, config.stack.fault_plan);
-  }
+  // The pipeline mode comes from the policy, not from the stack.
+  StackConfig stack = config.stack;
+  stack.pipeline.mode = uses_original_pipeline(config.policy)
+                            ? browser::PipelineMode::kOriginal
+                            : browser::PipelineMode::kEnergyAware;
+  // One phone for the whole session: fault fades and coverage windows are
+  // absolute-time events on its link, and the cache persists across pages.
+  UeStack ue(sim, stack);
+  // Records one policy step when the session is traced.
+  auto note = [&sim, trace = ue.trace.get()](obs::TraceKind kind,
+                                             std::int64_t a, double x) {
+    if (trace != nullptr) trace->record(sim.now(), kind, a, 0, x);
+  };
 
   SessionResult result;
   std::vector<std::unique_ptr<net::HttpClient>> clients;
   std::vector<std::unique_ptr<browser::PageLoad>> loads;
 
-  // Like faults, one coverage process spans the whole session.  On RLF every
-  // client is told to settle; finished pages have no unsettled fetches, so
-  // only the in-flight page reacts.
-  std::optional<net::OutageInjector> outage;
-  if (config.stack.outage.enabled()) {
-    outage.emplace(sim, link, rrc, config.stack.outage, /*ue_id=*/0);
-    rrc.set_on_rlf([&clients] {
-      for (const auto& client : clients) client->on_radio_lost();
-    });
-  }
-
-  obs::TraceRecorder* const trace = config.trace;
-  if (trace != nullptr) {
-    rrc.set_trace(trace);
-    link.set_trace(trace);
-    ril.set_trace(trace);
-    if (faults) faults->set_trace(trace);
-    if (outage) outage->set_trace(trace);
-  }
-
   auto switch_to_idle = [&] {
-    ril.request_idle([&result](bool switched) {
+    ue.ril.request_idle([&result](bool switched) {
       if (switched) ++result.switches_to_idle;
     });
   };
@@ -107,22 +83,10 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
     const PageVisit& visit = visits[index];
     const Seconds clicked_at = sim.now();
 
-    clients.push_back(std::make_unique<net::HttpClient>(
-        sim, server, link, rrc, config.stack.link,
-        config.stack.max_parallel_connections));
-    if (config.stack.use_browser_cache) clients.back()->set_cache(&cache);
-    clients.back()->set_retry_policy(config.stack.retry);
-    if (faults) clients.back()->set_fault_injector(&*faults);
-    if (trace != nullptr) clients.back()->set_trace(trace);
-    browser::PipelineConfig pipeline = config.stack.pipeline;
-    pipeline.mode = uses_original_pipeline(config.policy)
-                        ? browser::PipelineMode::kOriginal
-                        : browser::PipelineMode::kEnergyAware;
-    pipeline.mobile_page = visit.spec->mobile;
-    loads.push_back(std::make_unique<browser::PageLoad>(
-        sim, *clients.back(), cpu, pipeline, seed ^ (index * 0x9E3779B97F4AULL)));
+    clients.push_back(ue.make_client(server));
+    loads.push_back(ue.make_load(*clients.back(), *visit.spec,
+                                 seed ^ (index * 0x9E3779B97F4AULL)));
     browser::PageLoad& load = *loads.back();
-    if (trace != nullptr) load.set_trace(trace);
 
     load.start(visit.spec->main_url(), [&, index, clicked_at](
                                            const browser::LoadMetrics& m) {
@@ -137,9 +101,7 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
           break;
         case SessionPolicy::kOriginalAlwaysOff:
         case SessionPolicy::kEnergyAwareAlwaysOff:
-          if (trace != nullptr) {
-            trace->record(sim.now(), obs::TraceKind::kPolicyDecision, 1);
-          }
+          note(obs::TraceKind::kPolicyDecision, 1, 0);
           switch_to_idle();
           break;
         case SessionPolicy::kAccurate:
@@ -147,14 +109,9 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
           // threshold exactly as the deployed system would be.
           if (current.reading_time > config.alpha &&
               current.reading_time > config.threshold) {
-            if (trace != nullptr) {
-              trace->record(sim.now(), obs::TraceKind::kPolicyAlphaWait, 0, 0,
-                            config.alpha);
-            }
+            note(obs::TraceKind::kPolicyAlphaWait, 0, config.alpha);
             sim.schedule_in(config.alpha, [&] {
-              if (trace != nullptr) {
-                trace->record(sim.now(), obs::TraceKind::kPolicyDecision, 1);
-              }
+              note(obs::TraceKind::kPolicyDecision, 1, 0);
               switch_to_idle();
             });
           }
@@ -162,20 +119,14 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
         case SessionPolicy::kPredict:
           if (current.reading_time > config.alpha) {
             browser::PageLoad* opened = loads.back().get();
-            if (trace != nullptr) {
-              trace->record(sim.now(), obs::TraceKind::kPolicyAlphaWait, 0, 0,
-                            config.alpha);
-            }
+            note(obs::TraceKind::kPolicyAlphaWait, 0, config.alpha);
             sim.schedule_in(config.alpha, [&, opened] {
               const Seconds predicted =
                   config.predictor.predict_seconds(opened->features());
               const bool switch_now = predicted > config.threshold;
-              if (trace != nullptr) {
-                trace->record(sim.now(), obs::TraceKind::kPolicyPrediction, 0,
-                              0, predicted);
-                trace->record(sim.now(), obs::TraceKind::kPolicyDecision,
-                              switch_now ? 1 : 0, 0, predicted);
-              }
+              note(obs::TraceKind::kPolicyPrediction, 0, predicted);
+              note(obs::TraceKind::kPolicyDecision, switch_now ? 1 : 0,
+                   predicted);
               if (switch_now) switch_to_idle();
             });
           }
@@ -185,21 +136,15 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
           // switch if Tr > Td, or Tr > Tp in power-driven mode.
           if (current.reading_time > config.controller.alpha) {
             browser::PageLoad* opened = loads.back().get();
-            if (trace != nullptr) {
-              trace->record(sim.now(), obs::TraceKind::kPolicyAlphaWait, 0, 0,
-                            config.controller.alpha);
-            }
+            note(obs::TraceKind::kPolicyAlphaWait, 0, config.controller.alpha);
             sim.schedule_in(config.controller.alpha, [&, opened] {
               const EnergyAwareController controller(config.controller);
               const Seconds predicted = controller.predict_reading_time(
                   config.predictor, opened->features());
               const bool switch_now = controller.should_switch(predicted);
-              if (trace != nullptr) {
-                trace->record(sim.now(), obs::TraceKind::kPolicyPrediction, 0,
-                              0, predicted);
-                trace->record(sim.now(), obs::TraceKind::kPolicyDecision,
-                              switch_now ? 1 : 0, 0, predicted);
-              }
+              note(obs::TraceKind::kPolicyPrediction, 0, predicted);
+              note(obs::TraceKind::kPolicyDecision, switch_now ? 1 : 0,
+                   predicted);
               if (switch_now) switch_to_idle();
             });
           }
@@ -215,16 +160,18 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
   sim.run();
 
   const Seconds duration = sim.now();
+  const radio::RrcMachine& rrc = ue.rrc;
   result.energy = EnergyReport::measure(
-      PowerTimeline::sum(rrc.power(), cpu.power()), rrc.power(), duration,
+      PowerTimeline::sum(rrc.power(), ue.cpu.power()), rrc.power(), duration,
       duration);
-  result.ril_socket_failures = ril.socket_failures();
+  result.ril_socket_failures = ue.ril.socket_failures();
   result.radio_idle_time = rrc.time_in(radio::RrcState::kIdle);
-  result.radio_outages = outage ? outage->outages_started() : 0;
+  result.radio_outages = ue.outage ? ue.outage->outages_started() : 0;
   result.rlf_count = rrc.rlf_count();
   result.reestablish_ok = rrc.reestablish_ok();
   result.reestablish_fail = rrc.reestablish_fail();
   result.out_of_service_time = rrc.time_in(radio::RrcState::kOutOfService);
+  result.trace = ue.trace;
   return result;
 }
 

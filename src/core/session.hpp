@@ -8,6 +8,7 @@
 // exactly the accounting behind Fig 16.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/controller.hpp"
@@ -36,7 +37,11 @@ struct PageVisit {
 
 /// Session-level configuration.
 struct SessionConfig {
-  StackConfig stack;            ///< pipeline mode is set from the policy
+  /// The phone, as for a single load: its RIL failures
+  /// (chaos.ril_socket_failures), faults, outages, cache and tracing all
+  /// span the whole session.  The pipeline mode is set from the policy;
+  /// chaos.abort_at is a single-load directive and is ignored.
+  StackConfig stack;
   SessionPolicy policy = SessionPolicy::kBaseline;
   Seconds threshold = 9.0;      ///< Tp or Td for kAccurate / kPredict
   Seconds alpha = 2.0;          ///< interest threshold before deciding
@@ -44,15 +49,6 @@ struct SessionConfig {
   /// Algorithm 2's parameters (kAlgorithm2 only): Td, Tp and the
   /// power-driven / delay-driven mode switch.
   ControllerParams controller;
-  /// Failure injection: the first `ril_socket_failures` switch-to-IDLE
-  /// requests die at the framework->rild socket hop (a crashed/restarting
-  /// rild).  The radio must then demote via its T1/T2 timers alone.
-  int ril_socket_failures = 0;
-  /// Optional structured tracing: when set (caller-owned, must outlive the
-  /// run), every layer of the session stack — radio, link, every per-page
-  /// client and pipeline, the RIL chain and the policy itself — records into
-  /// it.  Recording never schedules events; results are identical either way.
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// Aggregates of one session run.
@@ -74,6 +70,11 @@ struct SessionResult {
   int reestablish_fail = 0;     ///< re-establishment attempts that failed
   Seconds out_of_service_time = 0;  ///< residency camped without coverage
   std::vector<Seconds> page_load_times;
+  /// The structured event recording of every layer (radio, link, each
+  /// page's client and pipeline, the RIL chain and the policy itself);
+  /// non-null iff stack.trace.  Recording never schedules events, so the
+  /// other results are identical either way.
+  std::shared_ptr<obs::TraceRecorder> trace;
 };
 
 /// Runs the visits as one continuous session.

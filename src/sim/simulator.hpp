@@ -82,10 +82,6 @@ class EventId {
 /// A single-threaded discrete-event simulator.
 class Simulator {
  public:
-  /// Compatibility alias: schedule_* accepts any void() callable; a
-  /// std::function still works (and its emptiness is still rejected).
-  using Action = std::function<void()>;
-
   /// Constructs the simulator with `shards` independent event queues
   /// (see set_shard_count); the default is the classic single queue.
   explicit Simulator(int shards = 1) { init_shards(shards); }

@@ -109,6 +109,28 @@ TEST(CpuScheduler, RejectsBadSubmissions) {
   EXPECT_THROW(cpu.submit(1.0, nullptr), std::invalid_argument);
 }
 
+TEST(CpuScheduler, DropQueuedDisarmsTheRunningTask) {
+  // An aborted page load drops its CPU work; the task already running may
+  // not call back into the load afterwards (the load may be freed by then).
+  // It still uses up its CPU time, so the power timeline is unchanged.
+  sim::Simulator sim;
+  CpuScheduler cpu(sim, 0.45);
+  int fired = 0;
+  cpu.submit(2.0, [&] { ++fired; });
+  cpu.submit(1.0, [&] { ++fired; });
+  sim.schedule_at(0.5, [&] { EXPECT_EQ(cpu.drop_queued(), 1u); });
+  sim.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_DOUBLE_EQ(cpu.busy_time(), 2.0);
+  EXPECT_NEAR(cpu.power().energy(0, 10), 0.45 * 2.0, 1e-9);
+  EXPECT_DOUBLE_EQ(cpu.power().current_power(), 0.0);
+  EXPECT_FALSE(cpu.busy());
+  // The CPU takes new work normally afterwards.
+  cpu.submit(1.0, [&] { ++fired; });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+}
+
 TEST(CpuScheduler, BusyTimeAccumulates) {
   sim::Simulator sim;
   CpuScheduler cpu(sim, 0.45);

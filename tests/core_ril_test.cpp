@@ -96,7 +96,8 @@ TEST(RilSessionFallback, ExhaustedRetriesStillDemoteViaTimersInSession) {
 
   SessionConfig config;
   config.policy = SessionPolicy::kOriginalAlwaysOff;  // requests IDLE per page
-  config.ril_socket_failures = 3;  // every request dies at the socket hop
+  // Every request dies at the socket hop.
+  config.stack.chaos.ril_socket_failures = 3;
 
   const SessionResult result = run_session(visits, config, 1);
   EXPECT_EQ(result.pages, 3);

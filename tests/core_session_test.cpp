@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/result_digest.hpp"
+
 namespace eab::core {
 namespace {
 
@@ -142,6 +144,86 @@ TEST_F(SessionFixture, Algorithm2RequiresModel) {
   SessionConfig config;
   config.policy = SessionPolicy::kAlgorithm2;
   EXPECT_THROW(run_session(visits(), config, 1), std::invalid_argument);
+}
+
+/// The stack variants the run_session pins cover: each switches on one
+/// optional layer of the phone, kAll switches on every one with tracing.
+enum class SessionVariant { kPlain, kFaults, kOutage, kRil, kAll };
+
+constexpr SessionVariant kSessionVariants[] = {
+    SessionVariant::kPlain, SessionVariant::kFaults, SessionVariant::kOutage,
+    SessionVariant::kRil, SessionVariant::kAll};
+
+TEST_F(SessionFixture, RunSessionIsByteIdenticalToTheRecordedBuild) {
+  // FNV-1a over every SessionResult field plus, when traced, the Chrome
+  // trace export (tests/support/result_digest.hpp), recorded before the UE
+  // stack assembly was shared between run_single, run_session and the
+  // cell.  The outage variant declares radio-link failures mid-session.
+  const SessionPolicy policies[] = {
+      SessionPolicy::kBaseline, SessionPolicy::kOriginalAlwaysOff,
+      SessionPolicy::kEnergyAwareAlwaysOff, SessionPolicy::kAccurate};
+  // Columns: plain, faults, outage, RIL failures, all with tracing.
+  const std::uint64_t pins[std::size(policies)][std::size(kSessionVariants)] =
+      {
+          // kBaseline
+          {0xf06376d1cf70bf2bULL, 0x76304fb05874302bULL, 0x52a0919816828607ULL,
+           0xf06376d1cf70bf2bULL, 0xe60118fccd9f63a1ULL},
+          // kOriginalAlwaysOff
+          {0x9b447006108e9021ULL, 0x8b467254dd3718bbULL, 0x862e45f23268ce61ULL,
+           0x86df8d0a24098373ULL, 0x3f3fbeb5dc658c01ULL},
+          // kEnergyAwareAlwaysOff
+          {0xe265498f2d4c06bULL, 0x7a70a3281f6e1a49ULL, 0x12fb75a8327b4c55ULL,
+           0xb9c8c1207a0aaddcULL, 0xfaba23e88b8d9d46ULL},
+          // kAccurate
+          {0xaf860adf0a878750ULL, 0xbae659beb44c341bULL, 0x71de817341251af9ULL,
+           0xe142a87343bbc162ULL, 0x42610b0c8b9b3025ULL},
+      };
+  int rlf = 0, socket_failures = 0;
+  for (std::size_t p = 0; p < std::size(policies); ++p) {
+    for (std::size_t v = 0; v < std::size(kSessionVariants); ++v) {
+      const SessionVariant variant = kSessionVariants[v];
+      const bool all = variant == SessionVariant::kAll;
+      SessionConfig config;
+      config.policy = policies[p];
+      config.threshold = 9.0;
+      if (variant == SessionVariant::kFaults || all) {
+        net::FaultPlan& faults = config.stack.fault_plan;
+        faults.seed = 11;
+        faults.connection_loss_rate = 0.05;
+        faults.stall_rate = 0.05;
+        faults.truncate_rate = 0.05;
+        faults.slow_first_byte_rate = 0.05;
+        faults.fade_count = 3;
+        faults.fade_start = 2.0;
+        faults.fade_period = 20.0;
+        faults.fade_duration = 1.0;
+        config.stack.retry.request_timeout = 3.0;
+      }
+      if (variant == SessionVariant::kOutage || all) {
+        config.stack.outage.seed = 3;
+        config.stack.outage.count = 4;
+        config.stack.outage.start = 0.5;
+        config.stack.outage.period = 21.0;
+        config.stack.outage.duration = 2.0;
+        config.stack.outage.reestablish_fail_rate = 0.3;
+      }
+      if (variant == SessionVariant::kRil || all) {
+        config.stack.chaos.ril_socket_failures = 2;
+      }
+      config.stack.trace = all;
+      const SessionResult result = run_session(visits(), config, 1);
+      EXPECT_EQ(result.trace != nullptr, all);
+      rlf += result.rlf_count;
+      socket_failures += result.ril_socket_failures;
+      const std::uint64_t digest = test::result_digest(result);
+      EXPECT_EQ(digest, pins[p][v])
+          << "policy " << p << " variant " << v << ": 0x" << std::hex
+          << digest;
+    }
+  }
+  // The variants really exercise the layers they are meant to.
+  EXPECT_GT(rlf, 0);
+  EXPECT_GT(socket_failures, 0);
 }
 
 TEST(SessionPolicyNames, AllDistinct) {

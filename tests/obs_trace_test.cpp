@@ -271,19 +271,19 @@ TEST(Audit, SessionPoliciesPass) {
   for (const auto policy : {core::SessionPolicy::kBaseline,
                             core::SessionPolicy::kEnergyAwareAlwaysOff,
                             core::SessionPolicy::kAccurate}) {
-    TraceRecorder recorder;
     core::SessionConfig config;
     config.policy = policy;
-    config.trace = &recorder;
+    config.stack.trace = true;
     const auto result = core::run_session(visits, config, 5);
-    EXPECT_GT(recorder.size(), 0u);
+    ASSERT_TRUE(result.trace);
+    EXPECT_GT(result.trace->size(), 0u);
     AuditInputs inputs;
     inputs.rrc = config.stack.rrc;
     inputs.power = config.stack.power;
     inputs.max_retries = config.stack.retry.max_retries;
     inputs.radio_energy = result.energy.radio_j;
     inputs.t_end = result.energy.window_s;
-    const auto report = TraceAuditor().audit(recorder, inputs);
+    const auto report = TraceAuditor().audit(*result.trace, inputs);
     EXPECT_TRUE(report.ok())
         << core::to_string(policy) << ":\n" << report.summary();
   }
@@ -294,20 +294,20 @@ TEST(Audit, SessionWithRilFailurePasses) {
   // radio demotes via timers alone.  The trace must still replay cleanly.
   const auto page = tiny_spec(3);
   const std::vector<core::PageVisit> visits = {{&page, 15.0}, {&page, 15.0}};
-  TraceRecorder recorder;
   core::SessionConfig config;
   config.policy = core::SessionPolicy::kEnergyAwareAlwaysOff;
-  config.ril_socket_failures = 1;
-  config.trace = &recorder;
+  config.stack.chaos.ril_socket_failures = 1;
+  config.stack.trace = true;
   const auto result = core::run_session(visits, config, 5);
+  ASSERT_TRUE(result.trace);
   EXPECT_EQ(result.ril_socket_failures, 1);
-  EXPECT_EQ(recorder.count(TraceKind::kRilSocketFailure), 1u);
+  EXPECT_EQ(result.trace->count(TraceKind::kRilSocketFailure), 1u);
   AuditInputs inputs;
   inputs.rrc = config.stack.rrc;
   inputs.power = config.stack.power;
   inputs.radio_energy = result.energy.radio_j;
   inputs.t_end = result.energy.window_s;
-  const auto report = TraceAuditor().audit(recorder, inputs);
+  const auto report = TraceAuditor().audit(*result.trace, inputs);
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 

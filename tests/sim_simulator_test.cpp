@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -68,7 +69,8 @@ TEST(Simulator, PastSchedulingThrows) {
 
 TEST(Simulator, EmptyActionThrows) {
   Simulator sim;
-  EXPECT_THROW(sim.schedule_at(1.0, Simulator::Action{}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_at(1.0, std::function<void()>{}),
+               std::invalid_argument);
 }
 
 TEST(Simulator, CancelPreventsExecution) {
