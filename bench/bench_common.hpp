@@ -33,6 +33,7 @@
 #include "util/fileio.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "web/js.hpp"
 
 namespace eab::bench {
 
@@ -41,6 +42,21 @@ inline void print_header(const std::string& figure, const std::string& what) {
   std::printf("==============================================================\n");
   std::printf("%s — %s\n", figure.c_str(), what.c_str());
   std::printf("==============================================================\n");
+}
+
+/// Prints the script-outcome memo's counters as one stderr line.  They
+/// measure host work, not the simulation, so they never reach stdout, a
+/// BENCH_*.json artifact or a metrics snapshot.
+inline void print_script_memo_stats() {
+  const web::js::ScriptMemoStats s = web::js::script_memo_stats();
+  std::fprintf(stderr,
+               "js memo: hits %llu misses %llu admitted %llu evicted %llu "
+               "bytes %llu\n",
+               static_cast<unsigned long long>(s.hits),
+               static_cast<unsigned long long>(s.misses),
+               static_cast<unsigned long long>(s.admitted),
+               static_cast<unsigned long long>(s.evicted),
+               static_cast<unsigned long long>(s.bytes));
 }
 
 /// The process-wide batch engine every harness shares: one thread pool plus

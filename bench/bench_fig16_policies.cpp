@@ -146,5 +146,6 @@ int main(int argc, char** argv) {
     std::printf("audit: %d session traces violated invariants\n",
                 audit_failures);
   }
+  bench::print_script_memo_stats();
   return audit_failures > 0 ? 1 : 0;
 }

@@ -402,5 +402,6 @@ int main(int argc, char** argv) {
   }
   bench::appendf(json, "\n}\n");
   bench::write_artifact("BENCH_metro.json", json);
+  bench::print_script_memo_stats();
   return 0;
 }

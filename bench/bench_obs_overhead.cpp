@@ -27,12 +27,14 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Best-of-`reps` wall clock for one cold run of `jobs` (a fresh runner per
-/// repetition: the memo cache would otherwise answer every repeat for free).
+/// Best-of-`reps` wall clock for one cold run of `jobs` (a fresh runner and
+/// an empty script memo per repetition: either would otherwise answer every
+/// repeat for free).
 double best_wall(const std::vector<core::BatchJob>& jobs, int reps,
                  std::vector<core::SingleLoadResult>* out) {
   double best = 1e9;
   for (int rep = 0; rep < reps; ++rep) {
+    web::js::reset_script_memo();
     core::BatchRunner runner;
     const auto start = Clock::now();
     auto results = runner.run(jobs);
@@ -56,10 +58,13 @@ cell::CellConfig overhead_cell_config(Seconds telemetry_tick) {
   return config;
 }
 
+/// Best-of-`reps` wall clock for one cold run of the cell (an empty script
+/// memo per repetition, as in best_wall).
 double best_cell_wall(const cell::CellConfig& config, int reps,
                       cell::CellResult* out) {
   double best = 1e9;
   for (int rep = 0; rep < reps; ++rep) {
+    web::js::reset_script_memo();
     const auto start = Clock::now();
     auto result = cell::run_cell(config);
     best = std::min(best, seconds_since(start));

@@ -133,5 +133,6 @@ int main(int argc, char** argv) {
   }
   bench::write_artifact("BENCH_throughput.json", json);
   bench::write_metrics_snapshot("throughput", runner.metrics());
+  bench::print_script_memo_stats();
   return all_identical ? 0 : 1;
 }

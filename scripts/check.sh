@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus sanitizer passes (TSan on the batch engine, ASan
-# on fault/cell paths, UBSan on the event engine) and a throughput gate
-# against scripts/perf_baseline.json.
+# Tier-1 verification plus sanitizer passes (TSan on the batch engine and
+# the shared script-outcome memo, ASan on fault/cell paths, UBSan on the
+# event engine and MiniScript) and a throughput gate against
+# scripts/perf_baseline.json.
 #
 #   scripts/check.sh            # full check
 #   JOBS=8 scripts/check.sh     # pin build/test parallelism
@@ -25,9 +26,14 @@ fi
 
 echo "== TSan: core_batch_test under -fsanitize=thread =="
 cmake -B build-tsan -S . -DEAB_SANITIZE=thread
-cmake --build build-tsan -j "$JOBS" --target core_batch_test
+cmake --build build-tsan -j "$JOBS" --target core_batch_test \
+  --target web_js_memo_test
 # Force multiple workers even on small machines so the pool is exercised.
 EAB_JOBS=4 ./build-tsan/tests/core_batch_test
+# The script-outcome memo is one per process: four BatchRunner workers race
+# lookups, admissions and replays of the same chain on it.
+./build-tsan/tests/web_js_memo_test \
+  --gtest_filter='ScriptMemo.ThreadedSameChainIsIdentical'
 
 echo "== ASan: fault-path tests under -fsanitize=address =="
 # The fault layer synthesizes partial resources and cancels in-flight
@@ -243,16 +249,23 @@ cmp "$soak/ref_cell.timeseries.json" build/bench/BENCH_cell.timeseries.json
 cmp "$soak/ref_cell.timeseries.json" build/bench/BENCH_cell.timeseries.json
 echo "telemetry series byte-identical across serial/sharded/supervised"
 
-echo "== UBSan: event-engine tests under -fsanitize=undefined =="
+echo "== UBSan: event-engine and MiniScript tests under -fsanitize=undefined =="
 # The pooled event engine type-erases callables into recycled slot storage
 # (placement new, raw vtable calls, power-of-two size-class blocks); UBSan
 # guards the alignment/lifetime contracts, driven hardest by the
-# differential test's random op soup and the sharded replays.
+# differential test's random op soup and the sharded replays.  MiniScript
+# turns script doubles into indexes; float-cast-overflow (named explicitly
+# in CMakeLists.txt) catches any that reach a cast out of range, over the
+# fuzz soups and the memo oracle's corpus, truncated and budget chains.
 cmake -B build-ubsan -S . -DEAB_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
-  --target sim_simulator_test --target sim_differential_test
+  --target sim_simulator_test --target sim_differential_test \
+  --target web_js_test --target web_robustness_test --target web_js_memo_test
 ./build-ubsan/tests/sim_simulator_test
 ./build-ubsan/tests/sim_differential_test
+./build-ubsan/tests/web_js_test
+./build-ubsan/tests/web_robustness_test
+./build-ubsan/tests/web_js_memo_test
 
 echo "== perf gate: simulator throughput vs checked-in baseline =="
 # bench_throughput's serial events/s must stay within a generous margin of

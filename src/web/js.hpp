@@ -178,8 +178,20 @@ struct RunResult {
   std::string error;              ///< diagnostic when !completed
 };
 
+/// A stored script outcome (defined with the memo in js_interpreter.cpp).
+struct ScriptOutcome;
+
 /// Tree-walking interpreter with a persistent global scope, so consecutive
 /// scripts on one page share state exactly as the paper requires.
+///
+/// A script's outcome is a pure function of the sources run before it on
+/// the page, its own source and the op budget, unless it draws
+/// Math.random().  run() therefore consults a process-wide script-outcome
+/// memo keyed on exactly that chain: a hit replays the stored RunResult and
+/// host-call log instead of evaluating, and the globals catch up lazily, by
+/// re-running the replayed sources with host effects dropped, before the
+/// next evaluated script or global() reads them.  Results, host calls and
+/// op counts are identical either way; only host time differs.
 class Interpreter {
  public:
   explicit Interpreter(JsHost& host, std::uint64_t op_budget = 50'000'000);
@@ -193,15 +205,46 @@ class Interpreter {
   std::uint64_t total_ops() const { return total_ops_; }
 
   /// Reads a global variable (tests / diagnostics).
-  Value global(const std::string& name) const;
+  Value global(const std::string& name);
 
  private:
+  /// Evaluates `source` against the globals, routing host calls to `host`.
+  RunResult evaluate(std::string_view source, JsHost& host);
+  /// Applies the replayed scripts' effects on the globals.
+  void catch_up();
+
   JsHost& host_;
   std::uint64_t op_budget_;
   std::uint64_t total_ops_ = 0;
   std::unordered_map<std::string, Value> globals_;
   /// Function declarations stay alive across scripts.
   std::vector<std::shared_ptr<Program>> retained_programs_;
+  /// Chain hash over the op budget and every source run so far.
+  std::uint64_t chain_hash_;
+  /// Memo id of the last script's stored outcome, 0 before the first
+  /// script.  Once a script's outcome is not stored, nothing later in the
+  /// chain can be looked up or stored either.
+  std::uint64_t parent_id_ = 0;
+  /// Replayed outcomes whose effects on globals_ are still pending.
+  std::vector<std::shared_ptr<const ScriptOutcome>> stale_;
 };
+
+/// Host-only counters of the script-outcome memo.  They describe host
+/// work, not the simulation, and stay out of every deterministic output.
+struct ScriptMemoStats {
+  std::uint64_t hits = 0;      ///< runs replayed from a stored outcome
+  std::uint64_t misses = 0;    ///< runs evaluated
+  std::uint64_t admitted = 0;  ///< outcomes stored
+  std::uint64_t evicted = 0;   ///< outcomes dropped to stay under the cap
+  std::uint64_t bytes = 0;     ///< current footprint of the stored outcomes
+};
+
+/// The process-wide memo's counters since start-up or the last reset.
+ScriptMemoStats script_memo_stats();
+
+/// Empties the memo and its sightings and zeroes the counters, so the next
+/// run of every script is evaluated (tests and bench_obs_overhead measure
+/// cold runs with this).
+void reset_script_memo();
 
 }  // namespace eab::web::js

@@ -1,4 +1,10 @@
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <list>
+#include <mutex>
+#include <optional>
 
 #include "web/js.hpp"
 
@@ -12,6 +18,20 @@ struct ReturnSignal {
 /// Thrown to unwind to the innermost loop on `break` / `continue`.
 struct BreakSignal {};
 struct ContinueSignal {};
+
+/// The element an index names in a sequence of `size`, or nullopt when it
+/// names none: negative, non-integral, NaN or at/past the end.  Checked in
+/// doubles, so no out-of-range value ever reaches a cast.
+std::optional<std::size_t> element_index(double index, std::size_t size) {
+  if (!(index >= 0) || index >= static_cast<double>(size) ||
+      index != std::floor(index)) {
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(index);
+}
+
+/// How far past its end an index write may grow an array.
+constexpr double kMaxArrayGrowth = 1 << 20;
 
 std::string number_to_string(double d) {
   // Integral doubles print without a decimal point, like JS.
@@ -239,14 +259,14 @@ class Evaluator {
           auto it = (*obj)->find(evaluate(*expr.operands[1]).to_string());
           return it == (*obj)->end() ? Value::undefined() : it->second;
         }
-        const auto index = static_cast<std::size_t>(
-            evaluate(*expr.operands[1]).to_number());
+        const double index = evaluate(*expr.operands[1]).to_number();
         if (const auto* arr = std::get_if<std::shared_ptr<Array>>(&object.storage)) {
-          return index < (*arr)->size() ? (**arr)[index] : Value::undefined();
+          const auto at = element_index(index, (*arr)->size());
+          return at ? (**arr)[*at] : Value::undefined();
         }
         if (const auto* str = std::get_if<std::string>(&object.storage)) {
-          return index < str->size() ? Value::make(std::string(1, (*str)[index]))
-                                     : Value::undefined();
+          const auto at = element_index(index, str->size());
+          return at ? Value::make(std::string(1, (*str)[*at])) : Value::undefined();
         }
         fail("cannot index non-array value");
       }
@@ -354,11 +374,16 @@ class Evaluator {
       (**obj)[evaluate(*target.operands[1]).to_string()] = value;
       return value;
     }
-    const auto index = static_cast<std::size_t>(
-        evaluate(*target.operands[1]).to_number());
+    const double index = evaluate(*target.operands[1]).to_number();
     if (auto* arr = std::get_if<std::shared_ptr<Array>>(&object.storage)) {
-      if (index >= (*arr)->size()) (*arr)->resize(index + 1);
-      (**arr)[index] = value;
+      const auto size = static_cast<double>((*arr)->size());
+      if (!(index >= 0) || index != std::floor(index) ||
+          index - size > kMaxArrayGrowth) {
+        fail("array index " + number_to_string(index) + " out of range");
+      }
+      const auto at = static_cast<std::size_t>(index);
+      if (at >= (*arr)->size()) (*arr)->resize(at + 1);
+      (**arr)[at] = value;
       return value;
     }
     fail("cannot index-assign non-array value");
@@ -507,22 +532,22 @@ class Evaluator {
     }
     if (name == "substring") {
       const std::string text = arg_string(0);
-      const auto from = static_cast<std::size_t>(std::max(
-          0.0, args.size() > 1 ? args[1].to_number() : 0.0));
-      const auto until = static_cast<std::size_t>(std::min(
-          static_cast<double>(text.size()),
-          args.size() > 2 ? args[2].to_number()
-                          : static_cast<double>(text.size())));
+      const auto size = static_cast<double>(text.size());
+      // Both ends clamp into [0, size]; a NaN start reads as 0, a NaN end
+      // as size.
+      const auto from = static_cast<std::size_t>(std::min(
+          size, std::max(0.0, args.size() > 1 ? args[1].to_number() : 0.0)));
+      const auto until = static_cast<std::size_t>(std::max(
+          0.0, std::min(size, args.size() > 2 ? args[2].to_number() : size)));
       result = Value::make(from >= until ? std::string()
                                          : text.substr(from, until - from));
       return true;
     }
     if (name == "charAt") {
       const std::string text = arg_string(0);
-      const auto index = static_cast<std::size_t>(
-          args.size() > 1 ? args[1].to_number() : 0.0);
-      result = Value::make(index < text.size() ? std::string(1, text[index])
-                                               : std::string());
+      const auto at =
+          element_index(args.size() > 1 ? args[1].to_number() : 0.0, text.size());
+      result = Value::make(at ? std::string(1, text[*at]) : std::string());
       return true;
     }
     if (name == "split") {
@@ -583,12 +608,281 @@ class Evaluator {
 
 }  // namespace
 
+// --- script-outcome memo ------------------------------------------------------
+//
+// One per process, shared by every Interpreter on every thread.  An outcome
+// is keyed on its whole chain: the id of the previous script's stored
+// outcome (ids only ever grow, so an evicted entry's id is never reused and
+// cannot alias another chain), this script's full source and the op budget,
+// all compared for equality on lookup.  A 64-bit hash of the chain picks the
+// bucket and the sighting slot, nothing more.
+
+struct ScriptOutcome {
+  /// One host call the script made, in program order.
+  struct HostCall {
+    std::optional<net::ResourceKind> request;  ///< nullopt: document_write
+    std::string text;                          ///< the markup or URL
+  };
+
+  std::uint64_t id = 0;
+  std::uint64_t parent_id = 0;
+  std::uint64_t budget = 0;
+  std::string source;
+  RunResult result;
+  std::vector<HostCall> calls;
+  std::uint64_t chain_hash = 0;
+  std::size_t bytes = 0;  ///< footprint charged against the cap
+};
+
+namespace {
+
+using HostCall = ScriptOutcome::HostCall;
+
+/// parent_id of a chain that can no longer be looked up or stored.
+constexpr std::uint64_t kUnstored = ~std::uint64_t{0};
+/// The memo's byte cap; least recently used outcomes go first past it.
+constexpr std::size_t kMemoCapBytes = std::size_t{1} << 20;
+/// Direct-mapped slots remembering chain hashes seen once (2^12 slots,
+/// 32 KiB).
+constexpr int kSketchBits = 12;
+/// Allocator and container bookkeeping charged per entry and per string.
+constexpr std::size_t kEntryOverhead = 128;
+constexpr std::size_t kStringOverhead = 16;
+
+/// Folds one word into a chain hash.
+std::uint64_t chain_fold(std::uint64_t hash, std::uint64_t word) {
+  hash = (hash ^ word) * 0x9E3779B97F4A7C15ULL;
+  return hash ^ (hash >> 32);
+}
+
+/// Folds a source's length, then its bytes eight at a time, into a chain
+/// hash.
+std::uint64_t extend_chain(std::uint64_t hash, std::string_view bytes) {
+  hash = chain_fold(hash, bytes.size());
+  std::size_t at = 0;
+  for (; at + 8 <= bytes.size(); at += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes.data() + at, 8);
+    hash = chain_fold(hash, word);
+  }
+  if (at < bytes.size()) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes.data() + at, bytes.size() - at);
+    hash = chain_fold(hash, word);
+  }
+  return hash;
+}
+
+std::size_t footprint(const ScriptOutcome& outcome) {
+  std::size_t bytes = sizeof(ScriptOutcome) + kEntryOverhead +
+                      outcome.source.capacity() + kStringOverhead +
+                      outcome.result.error.capacity() +
+                      outcome.calls.capacity() * sizeof(HostCall);
+  for (const HostCall& call : outcome.calls) {
+    bytes += call.text.capacity() + kStringOverhead;
+  }
+  return bytes;
+}
+
+class ScriptMemo {
+ public:
+  using Entry = std::shared_ptr<const ScriptOutcome>;
+
+  struct Probe {
+    Entry hit;           ///< the stored outcome, on a hit
+    bool admit = false;  ///< on a miss: store the outcome if it is pure
+  };
+
+  /// Looks the chain up.  A miss records the sighting and admits the
+  /// outcome if this chain was sighted before.
+  Probe probe(std::uint64_t chain_hash, std::uint64_t parent_id,
+              std::string_view source, std::uint64_t budget) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (parent_id != kUnstored) {
+      if (auto found = find(chain_hash, parent_id, source, budget)) {
+        lru_.splice(lru_.begin(), lru_, *found);
+        ++stats_.hits;
+        return {**found, false};
+      }
+    }
+    ++stats_.misses;
+    std::uint64_t& slot = sketch_[sketch_slot(chain_hash)];
+    const bool sighted = slot == chain_hash;
+    slot = chain_hash;
+    return {nullptr, sighted && parent_id != kUnstored};
+  }
+
+  /// Stores an outcome and returns its id; kUnstored if it alone exceeds
+  /// the cap.  An equal outcome stored meanwhile by another thread is
+  /// reused instead.
+  std::uint64_t insert(ScriptOutcome outcome) {
+    outcome.bytes = footprint(outcome);
+    if (outcome.bytes > kMemoCapBytes) return kUnstored;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (auto found = find(outcome.chain_hash, outcome.parent_id,
+                          outcome.source, outcome.budget)) {
+      return (**found)->id;
+    }
+    outcome.id = next_id_++;
+    lru_.push_front(std::make_shared<const ScriptOutcome>(std::move(outcome)));
+    const ScriptOutcome& stored = *lru_.front();
+    index_.emplace(stored.chain_hash, lru_.begin());
+    ++stats_.admitted;
+    stats_.bytes += stored.bytes;
+    while (stats_.bytes > kMemoCapBytes) evict_oldest();
+    return stored.id;
+  }
+
+  ScriptMemoStats stats() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stats_;
+  }
+
+  void reset() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    lru_.clear();
+    index_.clear();
+    sketch_.fill(0);
+    stats_ = {};  // next_id_ keeps growing: ids are never reused
+  }
+
+ private:
+  using Lru = std::list<Entry>;
+
+  static std::size_t sketch_slot(std::uint64_t chain_hash) {
+    return (chain_hash * 0xBF58476D1CE4E5B9ULL) >> (64 - kSketchBits);
+  }
+
+  std::optional<Lru::iterator> find(std::uint64_t chain_hash,
+                                    std::uint64_t parent_id,
+                                    std::string_view source,
+                                    std::uint64_t budget) {
+    auto [it, end] = index_.equal_range(chain_hash);
+    for (; it != end; ++it) {
+      const ScriptOutcome& stored = **it->second;
+      if (stored.parent_id == parent_id && stored.budget == budget &&
+          stored.source == source) {
+        return it->second;
+      }
+    }
+    return std::nullopt;
+  }
+
+  void evict_oldest() {
+    const Lru::iterator oldest = std::prev(lru_.end());
+    auto [it, end] = index_.equal_range((*oldest)->chain_hash);
+    while (it->second != oldest) ++it;
+    index_.erase(it);
+    stats_.bytes -= (*oldest)->bytes;
+    ++stats_.evicted;
+    lru_.erase(oldest);  // a replaying Interpreter may still hold it
+  }
+
+  std::mutex mutex_;
+  Lru lru_;  ///< most recently used first
+  std::unordered_multimap<std::uint64_t, Lru::iterator> index_;
+  std::array<std::uint64_t, std::size_t{1} << kSketchBits> sketch_{};
+  std::uint64_t next_id_ = 1;  ///< 0 is the empty chain
+  ScriptMemoStats stats_;
+};
+
+ScriptMemo& script_memo() {
+  static ScriptMemo memo;
+  return memo;
+}
+
+/// Forwards host calls to the real host, logging them when the outcome is
+/// to be stored and counting Math.random() draws.
+class RecordingHost final : public JsHost {
+ public:
+  RecordingHost(JsHost& host, bool record) : host_(host), record_(record) {}
+
+  void document_write(const std::string& html) override {
+    if (record_) calls_.push_back({std::nullopt, html});
+    host_.document_write(html);
+  }
+  void request_resource(const std::string& url,
+                        net::ResourceKind kind) override {
+    if (record_) calls_.push_back({kind, url});
+    host_.request_resource(url, kind);
+  }
+  double random() override {
+    ++draws_;
+    return host_.random();
+  }
+
+  std::vector<HostCall> take_calls() { return std::move(calls_); }
+  std::uint64_t draws() const { return draws_; }
+
+ private:
+  JsHost& host_;
+  bool record_;
+  std::vector<HostCall> calls_;
+  std::uint64_t draws_ = 0;
+};
+
+/// Drops every host call: catching the globals up must not repeat the
+/// replayed scripts' effects.  Stored outcomes drew no random values, so
+/// random() is never reached.
+class DroppingHost final : public JsHost {
+ public:
+  void document_write(const std::string&) override {}
+  void request_resource(const std::string&, net::ResourceKind) override {}
+  double random() override { return 0; }
+};
+
+}  // namespace
+
+ScriptMemoStats script_memo_stats() { return script_memo().stats(); }
+
+void reset_script_memo() { script_memo().reset(); }
+
+// --- Interpreter ----------------------------------------------------------------
+
 Interpreter::Interpreter(JsHost& host, std::uint64_t op_budget)
-    : host_(host), op_budget_(op_budget) {}
+    : host_(host), op_budget_(op_budget), chain_hash_(chain_fold(0, op_budget)) {}
 
 RunResult Interpreter::run(std::string_view source) {
+  ScriptMemo& memo = script_memo();
+  chain_hash_ = extend_chain(chain_hash_, source);
+  const ScriptMemo::Probe probe =
+      memo.probe(chain_hash_, parent_id_, source, op_budget_);
+  if (probe.hit) {
+    for (const HostCall& call : probe.hit->calls) {
+      if (call.request) {
+        host_.request_resource(call.text, *call.request);
+      } else {
+        host_.document_write(call.text);
+      }
+    }
+    parent_id_ = probe.hit->id;
+    total_ops_ += probe.hit->result.ops;
+    stale_.push_back(probe.hit);
+    return probe.hit->result;
+  }
+
+  catch_up();
+  RecordingHost recorder(host_, probe.admit);
+  RunResult result = evaluate(source, recorder);
+  total_ops_ += result.ops;
+  if (probe.admit && recorder.draws() == 0) {
+    ScriptOutcome outcome;
+    outcome.parent_id = parent_id_;
+    outcome.budget = op_budget_;
+    outcome.source = source;
+    outcome.result = result;
+    outcome.calls = recorder.take_calls();
+    outcome.chain_hash = chain_hash_;
+    parent_id_ = memo.insert(std::move(outcome));
+  } else {
+    parent_id_ = kUnstored;
+  }
+  return result;
+}
+
+RunResult Interpreter::evaluate(std::string_view source, JsHost& host) {
   RunResult result;
-  Evaluator evaluator(globals_, host_, op_budget_);
+  Evaluator evaluator(globals_, host, op_budget_);
   try {
     auto program = std::make_shared<Program>(parse(source));
     retained_programs_.push_back(program);  // keep function ASTs alive
@@ -600,11 +894,17 @@ RunResult Interpreter::run(std::string_view source) {
     result.error = error.what();
   }
   result.ops = evaluator.ops();
-  total_ops_ += result.ops;
   return result;
 }
 
-Value Interpreter::global(const std::string& name) const {
+void Interpreter::catch_up() {
+  DroppingHost dropping;
+  for (const auto& outcome : stale_) evaluate(outcome->source, dropping);
+  stale_.clear();
+}
+
+Value Interpreter::global(const std::string& name) {
+  catch_up();
   auto it = globals_.find(name);
   return it == globals_.end() ? Value::undefined() : it->second;
 }

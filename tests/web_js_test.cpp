@@ -394,5 +394,81 @@ TEST_F(JsFixture, SetPropertyOnNonObjectFails) {
   EXPECT_FALSE(result.completed);
 }
 
+// --- index bounds ------------------------------------------------------------
+//
+// Indexes are doubles; one that names no element must never reach a
+// size_t cast (undefined behaviour, and a crash in an optimised build).
+// The lexer has no exponent syntax, so `huge` (about 1e300) is computed.
+
+const char* const kHuge =
+    "var huge = 1; for (var k = 0; k < 300; k++) { huge = huge * 10; }";
+
+TEST_F(JsFixture, ReadsAtIndexesNamingNoElementAreEmpty) {
+  interp.run(std::string(kHuge) +
+             "var a = [1, 2, 3]; var s = 'abc'; var nan = 0 / 0;"
+             "var r1 = a[-1]; var r2 = a[1.5]; var r3 = a[nan]; var r4 = a[3];"
+             "var r5 = a[huge]; var r6 = s[-1]; var r7 = s[0.5]; var r8 = s[huge];"
+             "var c1 = charAt(s, -1); var c2 = charAt(s, 1.5);"
+             "var c3 = charAt(s, nan); var c4 = charAt(s, huge);"
+             "var c5 = charAt(s, 3);");
+  for (const char* name : {"r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8"}) {
+    EXPECT_TRUE(interp.global(name).is_undefined()) << name;
+  }
+  for (const char* name : {"c1", "c2", "c3", "c4", "c5"}) {
+    EXPECT_EQ(interp.global(name).to_string(), "") << name;
+  }
+}
+
+TEST_F(JsFixture, SubstringClampsHugeNegativeAndNaNBounds) {
+  interp.run(std::string(kHuge) +
+             "var nan = 0 / 0;"
+             "var a = substring('browser', huge); var b = substring('browser', -5, 3);"
+             "var c = substring('browser', 2, huge);"
+             "var d = substring('browser', 2, -1);"
+             "var e = substring('browser', nan, 3);"
+             "var f = substring('browser', 1, nan);");
+  EXPECT_EQ(interp.global("a").to_string(), "");
+  EXPECT_EQ(interp.global("b").to_string(), "bro");
+  EXPECT_EQ(interp.global("c").to_string(), "owser");
+  EXPECT_EQ(interp.global("d").to_string(), "");
+  EXPECT_EQ(interp.global("e").to_string(), "bro");
+  EXPECT_EQ(interp.global("f").to_string(), "rowser");
+}
+
+TEST_F(JsFixture, NegativeIndexWriteFailsInsteadOfCrashing) {
+  const RunResult result = interp.run("var b = [1]; b[-1] = 5;");
+  EXPECT_FALSE(result.completed);
+  EXPECT_NE(result.error.find("out of range"), std::string::npos) << result.error;
+  EXPECT_EQ(interp.global("b").to_string(), "1");
+}
+
+TEST_F(JsFixture, WritesAtBadOrFarIndexesFail) {
+  // Non-integral, NaN, infinite, and more than 2^20 past the end.
+  for (const std::string index :
+       {"-1", "1.5", "0 / 0", "1 / 0", "1000000000", "huge", "1048578"}) {
+    const RunResult result =
+        interp.run(std::string(kHuge) + "var b = [1]; b[" + index + "] = 5;");
+    EXPECT_FALSE(result.completed) << index;
+    EXPECT_NE(result.error.find("out of range"), std::string::npos)
+        << index << ": " << result.error;
+  }
+  // Growth within the limit still pads with undefined.
+  const RunResult grown = interp.run("var g = [1]; g[1000] = 2; var n = len(g);");
+  EXPECT_TRUE(grown.completed) << grown.error;
+  EXPECT_DOUBLE_EQ(interp.global("n").to_number(), 1001);
+}
+
+TEST_F(JsFixture, InRangeIndexingKeepsItsOpCount) {
+  // The bounds checks add no evaluation step: the op count of in-range
+  // reads, writes and string builtins is pinned to its earlier value.
+  const RunResult result = interp.run(
+      "var a = [1, 2]; a[5] = 3; var x = a[1] + a[7] + a[0];"
+      "var s = charAt('abc', 2) + substring('abcdef', 1, 3) + 'xyz'[1];"
+      "a[6] = s;");
+  EXPECT_TRUE(result.completed) << result.error;
+  EXPECT_EQ(result.ops, 39u);
+  EXPECT_EQ(interp.global("s").to_string(), "cbcy");
+}
+
 }  // namespace
 }  // namespace eab::web::js

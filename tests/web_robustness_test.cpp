@@ -9,6 +9,7 @@
 #include "browser/text_render.hpp"
 #include "net/fault.hpp"
 #include "net/http_client.hpp"
+#include "support/fuzz_inputs.hpp"
 #include "util/rng.hpp"
 #include "web/css.hpp"
 #include "web/html_parser.hpp"
@@ -17,36 +18,8 @@
 namespace eab::web {
 namespace {
 
-/// Random soup with markup-significant characters over-represented.
-std::string random_soup(Rng& rng, std::size_t length) {
-  static constexpr std::string_view kAlphabet =
-      "<>=\"'/&;:{}()[]#.@!- \n\tabcdefghijklmnopqrstuvwxyz0123456789";
-  std::string out;
-  out.reserve(length);
-  for (std::size_t i = 0; i < length; ++i) {
-    out.push_back(kAlphabet[rng.uniform_index(kAlphabet.size())]);
-  }
-  return out;
-}
-
-/// Takes valid markup and damages it: truncation, splicing, duplication.
-std::string mutate(Rng& rng, std::string input) {
-  switch (rng.uniform_index(4)) {
-    case 0:  // truncate
-      return input.substr(0, rng.uniform_index(input.size() + 1));
-    case 1: {  // splice soup into the middle
-      const std::size_t at = rng.uniform_index(input.size() + 1);
-      return input.substr(0, at) + random_soup(rng, 20) + input.substr(at);
-    }
-    case 2: {  // delete a chunk
-      if (input.size() < 10) return input;
-      const std::size_t at = rng.uniform_index(input.size() - 8);
-      return input.substr(0, at) + input.substr(at + 8);
-    }
-    default:  // duplicate a chunk
-      return input + input.substr(input.size() / 2);
-  }
-}
+using test::mutate;
+using test::random_soup;
 
 const char* const kValidHtml =
     "<!doctype html><html><head><title>t</title>"
@@ -121,16 +94,9 @@ class NullHost : public js::JsHost {
 };
 
 TEST_P(JsFuzz, GarbageIsReportedNeverThrown) {
-  Rng rng(GetParam());
   NullHost host;
   js::Interpreter interp(host, 100'000);  // tight budget: loops get cut
-  const std::string valid_js =
-      "var a = 1; for (var i = 0; i < 9; i++) { a = a + i % 3; }"
-      "function f(x) { return x * 2; } var b = f(a);";
-  for (int round = 0; round < 60; ++round) {
-    const std::string input = round % 2 == 0
-                                  ? random_soup(rng, 20 + rng.uniform_index(200))
-                                  : mutate(rng, valid_js);
+  for (const std::string& input : test::js_fuzz_inputs(GetParam())) {
     js::RunResult result;
     ASSERT_NO_THROW(result = interp.run(input));
     // Either it completed, or it carries a diagnostic.
@@ -217,9 +183,7 @@ TEST_P(NetworkTruncationFuzz, CssSurvivesFetchParseMatch) {
 }
 
 TEST_P(NetworkTruncationFuzz, JsSurvivesFetchAndExecution) {
-  const std::string full =
-      "var a = 1; for (var i = 0; i < 9; i++) { a = a + i % 3; }"
-      "function f(x) { return x * 2; } var b = f(a);";
+  const std::string full(test::kValidJs);
   NullHost host;
   js::Interpreter interp(host, 100'000);
   for (int round = 0; round < 10; ++round) {
