@@ -175,46 +175,6 @@ inline radio::OutagePlan outage_plan_from_env() {
   return plan;
 }
 
-/// Fault-plan seed for the fault benches: EAB_FAULT_SEED overrides the
-/// built-in default so a sweep can be re-rolled without recompiling (the
-/// whole stack stays deterministic for any fixed value).  Unset or empty
-/// falls back to `fallback`; a malformed value is an error (exit 2), never
-/// a silent default.
-inline std::uint64_t fault_seed_from_env(std::uint64_t fallback) {
-  return knobs().u64_or("EAB_FAULT_SEED", fallback);
-}
-
-/// EAB_TRACE=1 turns structured tracing on in the harnesses that honor it:
-/// loads record full traces, every trace is audited, and the process exits
-/// non-zero on any violation.  Off by default (unset, empty or "0"):
-/// tracing never changes results, but the recordings cost memory.  Any
-/// other value is an error (exit 2): "EAB_TRACE=yes" must not silently run
-/// untraced.
-inline bool trace_enabled() { return knobs().flag("EAB_TRACE"); }
-
-/// Chaos sweep width: EAB_CHAOS_SEEDS overrides the default scenario count
-/// (the checked contract runs 256).  Strictly parsed; 0 is rejected — an
-/// empty sweep proves nothing.
-inline int chaos_seed_count_from_env(int fallback) {
-  return static_cast<int>(
-      knobs().u64_or("EAB_CHAOS_SEEDS", static_cast<std::uint64_t>(fallback)));
-}
-
-/// Optional directory for chaos artifacts (EAB_CHAOS_OUT): every shrunk
-/// reproducer found by a sweep is written there as replayable JSON.  Empty
-/// = no dumps.
-inline std::string chaos_out_dir() {
-  return knobs().path_or_empty("EAB_CHAOS_OUT");
-}
-
-/// Optional directory for Chrome-trace dumps (EAB_TRACE_OUT).  When set and
-/// tracing is on, audited recordings are also serialized to
-/// `<dir>/<label>.trace.json` for Perfetto / chrome://tracing.  Empty = no
-/// dumps.
-inline std::string trace_out_dir() {
-  return knobs().path_or_empty("EAB_TRACE_OUT");
-}
-
 /// printf-append into a string: the building block the benches use to
 /// assemble whole JSON artifacts in memory before one crash-safe write.
 inline void appendf(std::string& out, const char* fmt, ...) {
@@ -242,34 +202,6 @@ inline bool write_artifact(const std::string& path, std::string_view contents) {
   if (!write_file_atomic(path, contents)) return false;
   std::printf("wrote %s\n", path.c_str());
   return true;
-}
-
-/// EAB_SUPERVISE=1 moves the sweeps that support it (bench_fig11_capacity
-/// --cell) onto the process-level supervision layer: forked workers,
-/// heartbeats, crash restarts, and — with EAB_CHECKPOINT_DIR — durable
-/// resume.  Results are bit-identical either way; "0"/unset/empty keeps the
-/// in-process BatchRunner path.  Anything else exits 2.
-inline bool supervise_enabled() { return knobs().flag("EAB_SUPERVISE"); }
-
-/// EAB_TELEMETRY=1 turns simulated-time telemetry on in the harnesses that
-/// honor it (bench_fig11_capacity --cell): cell runs sample cross-layer
-/// gauges into fixed-budget time series and the bench writes a
-/// BENCH_*.timeseries.json artifact.  Off by default (unset, empty or "0"):
-/// disabled runs are bit-identical — sim_events and every artifact included
-/// — to a build without the telemetry layer.  Anything else exits 2.
-inline bool telemetry_enabled() { return knobs().flag("EAB_TELEMETRY"); }
-
-/// EAB_TELEMETRY_TICK: sampling period in whole simulated seconds (needs
-/// EAB_TELEMETRY=1).  Default 5; malformed or out of [1, 86400] exits 2.
-inline Seconds telemetry_tick_from_env() {
-  return static_cast<Seconds>(knobs().u64_or("EAB_TELEMETRY_TICK", 5));
-}
-
-/// EAB_TELEMETRY_BUDGET: per-series point budget before power-of-two merge
-/// downsampling kicks in.  Default 256; malformed or out of [2, 1048576]
-/// exits 2.
-inline std::size_t telemetry_budget_from_env() {
-  return static_cast<std::size_t>(knobs().u64_or("EAB_TELEMETRY_BUDGET", 256));
 }
 
 /// Assembles the supervised-sweep config from the environment knobs.
@@ -328,7 +260,7 @@ inline int audit_results(const std::vector<core::SingleLoadResult>& results,
                          const core::StackConfig& config,
                          const std::string& label) {
   const obs::TraceAuditor auditor;
-  const std::string out_dir = trace_out_dir();
+  const std::string out_dir = knobs().path_or_empty("EAB_TRACE_OUT");
   std::string file_label = label;  // labels may hold spaces or URL slashes
   for (char& c : file_label) {
     if (!std::isalnum(static_cast<unsigned char>(c)) && c != '-') c = '_';

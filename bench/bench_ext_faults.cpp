@@ -42,7 +42,7 @@ core::StackConfig config_at(browser::PipelineMode mode, double rate,
   config.retry.max_retries = 2;
   config.retry.backoff_initial = 0.5;
   config.retry.backoff_factor = 2.0;
-  config.trace = bench::trace_enabled();
+  config.trace = bench::knobs().flag("EAB_TRACE");
   return config;
 }
 
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
           "EAB_JOBS"})) {
     return 0;
   }
-  const std::uint64_t seed = bench::fault_seed_from_env(20130707);
+  const std::uint64_t seed = bench::knobs().u64_or("EAB_FAULT_SEED", 20130707);
   bench::print_header("Extension", "page loads on a faulty 3G link");
   std::printf("fault seed %llu (override with EAB_FAULT_SEED)\n\n",
               static_cast<unsigned long long>(seed));
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
   fade_orig.fault_plan.fade_period = 8.0;
   fade_orig.fault_plan.fade_duration = 3.0;
   fade_orig.retry.request_timeout = 20.0;  // fades stall, they don't kill
-  fade_orig.trace = bench::trace_enabled();
+  fade_orig.trace = bench::knobs().flag("EAB_TRACE");
   auto fade_ea = fade_orig;
   fade_ea.pipeline.mode = browser::PipelineMode::kEnergyAware;
 

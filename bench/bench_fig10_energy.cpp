@@ -22,7 +22,7 @@ int report(const std::string& label, const std::vector<corpus::PageSpec>& specs,
       core::ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack;
   auto ea_cfg =
       core::ScenarioBuilder(browser::PipelineMode::kEnergyAware).build().stack;
-  orig_cfg.trace = ea_cfg.trace = bench::trace_enabled();
+  orig_cfg.trace = ea_cfg.trace = bench::knobs().flag("EAB_TRACE");
 
   const auto orig_results = bench::run_loads(specs, orig_cfg);
   const auto ea_results = bench::run_loads(specs, ea_cfg);

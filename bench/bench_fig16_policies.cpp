@@ -34,7 +34,7 @@ SessionTotals run_policy(
   config.policy = policy;
   config.threshold = threshold;
   config.predictor.model = model;
-  const bool traced = bench::trace_enabled();
+  const bool traced = bench::knobs().flag("EAB_TRACE");
   config.stack.trace = traced;
   std::uint64_t seed = 1;
   for (const auto& visits : sessions) {
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
                    c.paper});
   }
   std::printf("%s", table.render().c_str());
-  if (bench::trace_enabled()) {
+  if (bench::knobs().flag("EAB_TRACE")) {
     std::printf("audit: %d session traces violated invariants\n",
                 audit_failures);
   }

@@ -19,10 +19,10 @@
 // sweep through the shared in-process pool; EAB_SUPERVISE=1 moves it onto
 // forked, heartbeat-supervised workers with durable checkpoint resume under
 // EAB_CHECKPOINT_DIR.  stdout and BENCH_metro.json are byte-identical
-// across serial, sharded (EAB_METRO_SHARDS) and supervised execution —
-// check.sh gates this.  Aggregation is streaming: the sweep consumer folds
-// each MetroResult into per-point summaries as it arrives and drops the
-// full result (no vectors-of-results across the axis).
+// across serial and supervised execution — check.sh gates this.
+// Aggregation is streaming: the sweep consumer folds each MetroResult into
+// per-point summaries as it arrives and drops the full result (no
+// vectors-of-results across the axis).
 #include "bench_common.hpp"
 
 #include "metro/metro.hpp"
@@ -36,7 +36,6 @@ struct MetroParams {
   int grid_h = 3;
   int max_users = 24;  // mean homes per cell, top of the axis
   std::uint64_t seed = 1;
-  int shards = 1;
   Seconds horizon = 600.0;
   Seconds dwell = 120.0;
   double hotspot = 0.5;
@@ -103,7 +102,6 @@ metro::MetroConfig metro_config(browser::PipelineMode mode,
   cell.channels = 6;
   cell.horizon = params.horizon;
   cell.cell_seed = params.seed;
-  cell.sim_shards = params.shards;
   return metro::MetroBuilder()
       .grid(params.grid_w, params.grid_h)
       .cell(cell)
@@ -124,15 +122,15 @@ bool sweep_mode(const char* label, const metro::MetroConfig& base,
     out[i] = summarize(users_axis[i], result);
   };
   core::SupervisorReport report;
-  if (bench::supervise_enabled()) {
+  if (bench::knobs().flag("EAB_SUPERVISE")) {
     std::string fingerprint = "metro v1";
     bench::appendf(fingerprint,
-                   " mode=%s grid=%dx%d seed=%llu horizon=%.17g shards=%d"
+                   " mode=%s grid=%dx%d seed=%llu horizon=%.17g"
                    " dwell=%.17g hotspot=%.17g policy=%s",
                    label, params.grid_w, params.grid_h,
                    static_cast<unsigned long long>(params.seed),
-                   params.horizon, params.shards, params.dwell,
-                   params.hotspot, metro::to_string(params.policy));
+                   params.horizon, params.dwell, params.hotspot,
+                   metro::to_string(params.policy));
     for (const int users : users_axis) {
       bench::appendf(fingerprint, " u%d", users);
     }
@@ -165,9 +163,9 @@ int main(int argc, char** argv) {
           argc, argv, "bench_metro",
           "metro-scale multi-cell capacity with mobility and handover",
           {"EAB_METRO_GRID_W", "EAB_METRO_GRID_H", "EAB_METRO_USERS",
-           "EAB_METRO_SEED", "EAB_METRO_SHARDS", "EAB_METRO_HORIZON",
-           "EAB_METRO_DWELL", "EAB_METRO_HOTSPOT", "EAB_METRO_INSTANT",
-           "EAB_METRO_SCALE", "EAB_SUPERVISE", "EAB_WORKERS",
+           "EAB_METRO_SEED", "EAB_METRO_HORIZON", "EAB_METRO_DWELL",
+           "EAB_METRO_HOTSPOT", "EAB_METRO_INSTANT", "EAB_METRO_SCALE",
+           "EAB_SUPERVISE", "EAB_WORKERS",
            "EAB_CHECKPOINT_DIR", "EAB_SELF_CHAOS", "EAB_SELF_CHAOS_KILLS",
            "EAB_SELF_CHAOS_ORC", "EAB_PROGRESS", "EAB_JOBS"})) {
     return 0;
@@ -181,7 +179,6 @@ int main(int argc, char** argv) {
   params.max_users =
       static_cast<int>(bench::knobs().u64_or("EAB_METRO_USERS", 24));
   params.seed = bench::knobs().u64_or("EAB_METRO_SEED", 1);
-  params.shards = static_cast<int>(bench::knobs().u64_or("EAB_METRO_SHARDS", 1));
   params.horizon = bench::knobs().f64_or("EAB_METRO_HORIZON", 600.0);
   params.dwell = bench::knobs().f64_or("EAB_METRO_DWELL", 120.0);
   params.hotspot = bench::knobs().f64_or("EAB_METRO_HOTSPOT", 0.5);
@@ -202,9 +199,6 @@ int main(int argc, char** argv) {
               params.grid_w, params.grid_h, params.horizon, params.dwell,
               params.hotspot, metro::to_string(params.policy),
               static_cast<unsigned long long>(params.seed));
-  if (params.shards != 1) {  // default output stays byte-identical
-    std::printf("metro: %d event-queue shards per cell\n", params.shards);
-  }
 
   std::vector<PointSummary> orig;
   std::vector<PointSummary> ea;
@@ -305,8 +299,7 @@ int main(int argc, char** argv) {
   if (scale_on) {
     MetroParams p = params;
     p.grid_w = 16;
-    p.grid_h = 16;    // 256 cells x 1 shard
-    p.shards = 1;
+    p.grid_h = 16;    // 256 cells, the metro's limit
     p.max_users = 391;  // 256 * 391 = 100,096 sessions
     p.horizon = 30.0;
     p.dwell = 60.0;

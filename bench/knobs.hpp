@@ -262,9 +262,6 @@ class KnobRegistry {
              "cell simulation seed", 0, kU64Max);
     u64_knob("EAB_CELL_USERS", "32", "a user count in [1, 512]",
              "top of the users axis for the capacity sweep", 1, 512);
-    u64_knob("EAB_CELL_SHARDS", "1", "a shard count in [1, 256]",
-             "event-queue shards per cell simulator (perf-only; "
-             "bit-identical results)", 1, 256);
     u64_knob("EAB_CELL_OUTAGE_COUNT", "0 (off)",
              "a blackout count in [0, 1000]",
              "whole-cell blackout windows per run", 0, 1000);
@@ -290,9 +287,6 @@ class KnobRegistry {
              65536);
     u64_knob("EAB_METRO_SEED", "1", "an unsigned decimal seed",
              "metro simulation seed (cell c runs at seed + c)", 0, kU64Max);
-    u64_knob("EAB_METRO_SHARDS", "1", "a shard count in [1, 256]",
-             "event-queue shards per cell (grid * shards must stay <= 256)",
-             1, 256);
     f64_knob("EAB_METRO_HORIZON", "600", "a horizon in seconds > 0",
              "simulated arrival horizon per metro run", true);
     f64_knob("EAB_METRO_DWELL", "120", "a mean dwell time in seconds",

@@ -24,6 +24,21 @@ if grep -q '(Skipped)' build/ctest.log; then
   exit 1
 fi
 
+echo "== knobs: registry and README name the same EAB_* knobs =="
+# Every knob registered in bench/knobs.hpp is documented in README.md and
+# README.md documents no knob the registry lacks.  EAB_SANITIZE is a CMake
+# build option, not a bench knob.
+registered=$(grep -oE '_knob\("EAB_[A-Z0-9_]+"' bench/knobs.hpp \
+  | grep -oE 'EAB_[A-Z0-9_]+' | sort -u)
+documented=$(grep -oE 'EAB_[A-Z0-9_]+' README.md | grep -vx EAB_SANITIZE \
+  | sort -u)
+if [ "$registered" != "$documented" ]; then
+  echo "KNOB DOCS FAILED: bench/knobs.hpp (<) vs README.md (>):" >&2
+  diff <(echo "$registered") <(echo "$documented") >&2 || true
+  exit 1
+fi
+echo "$(echo "$registered" | wc -l) knobs registered and documented"
+
 echo "== TSan: core_batch_test under -fsanitize=thread =="
 cmake -B build-tsan -S . -DEAB_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target core_batch_test \
@@ -97,8 +112,8 @@ cmake --build build-asan -j "$JOBS" \
   --target radio_outage_boundary_test --target radio_rrc_test
 ./build-asan/tests/radio_outage_boundary_test
 ./build-asan/tests/radio_rrc_test
-# Trimmed cell outage sweep under ASan: serial == sharded == supervised with
-# per-UE fades and whole-cell blackouts active.
+# Trimmed cell outage sweep under ASan: serial == supervised with per-UE
+# fades and whole-cell blackouts active.
 EAB_CELL_OUTAGE_SEEDS=8 ./build-asan/tests/cell_test \
   --gtest_filter='CellTest.OutageSweepSerialShardedSupervisedBitIdentical'
 # Null path: with the outage knobs explicitly set to their disabled values,
@@ -189,7 +204,7 @@ cmake --build build-asan -j "$JOBS" \
 
 echo "== metro: multi-cell mobility determinism + ASan sweep =="
 # Tier-1 metro suites in the regular build: the full metro contract
-# (1-cell ≡ run_cell bytes, tier/shard invariance, ledger conservation,
+# (1-cell ≡ run_cell bytes, execution-tier invariance, ledger conservation,
 # audited mobility traces) plus the forced-handover boundary matrix.
 ./build/tests/metro_test
 ./build/tests/metro_handover_boundary_test
@@ -206,21 +221,19 @@ EAB_METRO_SWEEP_SEEDS=16 ./build-asan/tests/metro_test \
 # cell::run_cell byte for byte (telemetry and outages included).
 ./build/tests/metro_test \
   --gtest_filter='MetroTest.OneCellZeroMobilityIsByteIdenticalToRunCell:MetroTest.OneCellTelemetryAndOutagesStillMatchRunCell'
-# End-to-end acceptance: BENCH_metro.json byte-identical across serial,
-# sharded (K=4) and supervised runs of the same metro sweep.
+# End-to-end acceptance: stdout and BENCH_metro.json byte-identical across
+# serial and supervised runs of the same metro sweep.
 metro=build/bench/metro_check
 rm -rf "$metro"
 mkdir -p "$metro"
 metro_env="EAB_METRO_GRID_W=2 EAB_METRO_GRID_H=2 EAB_METRO_USERS=6 EAB_METRO_HORIZON=120"
 (cd build/bench && env $metro_env ./bench_metro > metro_check/ref_stdout.txt)
 cp build/bench/BENCH_metro.json "$metro/ref_metro.json"
-(cd build/bench && env $metro_env EAB_METRO_SHARDS=4 ./bench_metro > /dev/null)
-cmp "$metro/ref_metro.json" build/bench/BENCH_metro.json
 (cd build/bench && env $metro_env EAB_SUPERVISE=1 EAB_WORKERS=2 \
   ./bench_metro > metro_check/sup_stdout.txt 2>> metro_check/sup_stderr.txt)
 cmp "$metro/ref_metro.json" build/bench/BENCH_metro.json
 cmp "$metro/ref_stdout.txt" "$metro/sup_stdout.txt"
-echo "metro sweep byte-identical across serial/sharded/supervised"
+echo "metro sweep byte-identical across serial/supervised"
 
 echo "== telemetry: determinism suite + overhead gate + cross-mode bytes =="
 # The telemetry ladder (DESIGN.md §11): integer-quanta merge associativity,
@@ -237,23 +250,20 @@ cmake --build build-asan -j "$JOBS" --target obs_telemetry_test
 grep -q '"sampling_within_budget": true' build/bench/BENCH_obs_overhead.json
 grep -q '"cell_workload_identical": true' build/bench/BENCH_obs_overhead.json
 # End-to-end acceptance: BENCH_cell.timeseries.json must be byte-identical
-# across serial, sharded (K=4) and supervised runs of the same sweep.
+# across serial and supervised runs of the same sweep.
 ts_env="EAB_CELL_USERS=16 EAB_CELL_SEED=5 EAB_TELEMETRY=1"
 (cd build/bench && env $ts_env ./bench_fig11_capacity --cell > /dev/null)
 cp build/bench/BENCH_cell.timeseries.json "$soak/ref_cell.timeseries.json"
-(cd build/bench && env $ts_env EAB_CELL_SHARDS=4 \
-  ./bench_fig11_capacity --cell > /dev/null)
-cmp "$soak/ref_cell.timeseries.json" build/bench/BENCH_cell.timeseries.json
 (cd build/bench && env $ts_env EAB_SUPERVISE=1 EAB_WORKERS=2 \
   ./bench_fig11_capacity --cell > /dev/null 2>> soak/sup_stderr.txt)
 cmp "$soak/ref_cell.timeseries.json" build/bench/BENCH_cell.timeseries.json
-echo "telemetry series byte-identical across serial/sharded/supervised"
+echo "telemetry series byte-identical across serial/supervised"
 
 echo "== UBSan: event-engine and MiniScript tests under -fsanitize=undefined =="
 # The pooled event engine type-erases callables into recycled slot storage
 # (placement new, raw vtable calls, power-of-two size-class blocks); UBSan
 # guards the alignment/lifetime contracts, driven hardest by the
-# differential test's random op soup and the sharded replays.  MiniScript
+# differential test's random op soups.  MiniScript
 # turns script doubles into indexes; float-cast-overflow (named explicitly
 # in CMakeLists.txt) catches any that reach a cast out of range, over the
 # fuzz soups and the memo oracle's corpus, truncated and budget chains.

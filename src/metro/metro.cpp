@@ -97,15 +97,13 @@ class MetroSim {
     // Cell construction and UE registration interleave exactly as
     // run_cell's (construct, then make_ue per local index), so a 1-cell
     // metro replays run_cell's event-scheduling sequence verbatim.
-    const int S = config_.cell.sim_shards;
     cells_.reserve(static_cast<std::size_t>(cell_count_));
     int next_id = 0;
     for (int c = 0; c < cell_count_; ++c) {
       const auto uc = static_cast<std::size_t>(c);
       cells_.push_back(std::make_unique<cell::CellSim>(
-          sim_, cell_configs_[uc], c, c * S, ticks));
+          sim_, cell_configs_[uc], c, ticks));
       for (int local = 0; local < home_users_[uc]; ++local) {
-        sim_.set_schedule_shard(c * S + local % S);
         std::unique_ptr<cell::CellUe> ue = cells_[uc]->make_ue(
             next_id++, derive_seed(cell_configs_[uc].cell_seed,
                                    static_cast<std::uint64_t>(local)));
@@ -124,31 +122,17 @@ class MetroSim {
   /// Whole-cell outages, session arrivals, then the mobility process —
   /// the same per-phase order run_cell uses, extended cell-major.
   void schedule() {
-    const int S = config_.cell.sim_shards;
     if (config_.cell.cell_outage_count > 0) {
-      for (int c = 0; c < cell_count_; ++c) {
-        sim_.set_schedule_shard(c * S);
-        cells_[static_cast<std::size_t>(c)]->schedule_cell_outages();
-      }
+      for (auto& cell : cells_) cell->schedule_cell_outages();
     }
-    for (Mobile& m : mobiles_) {
-      sim_.set_schedule_shard(ue_shard(*m.ue));
-      m.ue->home->schedule_first_arrival(*m.ue);
-    }
+    for (Mobile& m : mobiles_) m.ue->home->schedule_first_arrival(*m.ue);
     if (config_.mean_dwell > 0) {
-      for (std::size_t i = 0; i < mobiles_.size(); ++i) {
-        sim_.set_schedule_shard(ue_shard(*mobiles_[i].ue));
-        schedule_first_move(i);
-      }
+      for (std::size_t i = 0; i < mobiles_.size(); ++i) schedule_first_move(i);
     }
   }
 
   void start_telemetry() {
-    const int S = config_.cell.sim_shards;
-    for (int c = 0; c < cell_count_; ++c) {
-      sim_.set_schedule_shard(c * S);
-      cells_[static_cast<std::size_t>(c)]->start_telemetry();
-    }
+    for (auto& cell : cells_) cell->start_telemetry();
   }
 
   MetroResult finalize(Seconds end, std::uint64_t sim_events) {
@@ -198,19 +182,6 @@ class MetroSim {
     std::unique_ptr<cell::CellUe> ue;
     Rng rng;  ///< dwell + waypoint stream (derive_seed(ue.seed, mobility))
   };
-
-  int ue_shard(const cell::CellUe& ue) const {
-    // A UE's events live on its HOME cell's shard range for the whole run
-    // (shard assignment is a scheduling-order property, so it must not
-    // follow the UE around); local index = id - home cell's first id.
-    const int S = config_.cell.sim_shards;
-    const int home = ue.home->index();
-    int first_id = 0;
-    for (int c = 0; c < home; ++c) {
-      first_id += home_users_[static_cast<std::size_t>(c)];
-    }
-    return home * S + (ue.id - first_id) % S;
-  }
 
   void schedule_first_move(std::size_t i) {
     const Seconds at = mobiles_[i].rng.exponential(config_.mean_dwell);
@@ -394,10 +365,10 @@ void validate_metro_config(const MetroConfig& config) {
   }
   const std::int64_t cells =
       static_cast<std::int64_t>(config.grid_w) * config.grid_h;
-  if (cells * config.cell.sim_shards > 256) {
-    throw std::invalid_argument(
-        "run_metro: grid_w * grid_h * cell.sim_shards must be <= 256 "
-        "(the engine's shard limit)");
+  // The cell bound also keeps the engine's `int` grid arithmetic
+  // (grid_w * grid_h) from overflowing.
+  if (cells > 256) {
+    throw std::invalid_argument("run_metro: grid_w * grid_h must be <= 256");
   }
   if (cells * config.cell.users > INT_MAX) {
     throw std::invalid_argument("run_metro: total user count overflows");
@@ -429,7 +400,6 @@ MetroResult run_metro(const MetroConfig& config) {
       per_cell > std::numeric_limits<std::uint64_t>::max() / m
           ? std::numeric_limits<std::uint64_t>::max()
           : per_cell * m);
-  sim.set_shard_count(cell_count * config.cell.sim_shards);
   cell::TickCoordinator ticks;
   const bool telemetry = config.cell.telemetry_tick > 0;
   MetroSim metro(sim, config, telemetry ? &ticks : nullptr);

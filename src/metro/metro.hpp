@@ -1,11 +1,9 @@
 // Metro-scale multi-cell simulation with mobility and handover.
 //
-// M cells (a grid_w x grid_h grid) run in ONE sim::Simulator — each cell is
-// a cell::CellSim over the UEs currently attached to it, and each cell owns
-// a contiguous range of event-queue shards (cell c owns shards
-// [c*S, (c+1)*S) where S = cell.sim_shards), so the engine's
-// shard-count-invariant merged fire order extends the serial ≡ sharded ≡
-// supervised byte-identity contract to the whole metro.
+// M cells (a grid_w x grid_h grid) run in ONE sim::Simulator with one event
+// queue — each cell is a cell::CellSim over the UEs currently attached to
+// it, and every event of every cell fires in the one global (time, order)
+// sequence, so serial and supervised sweeps stay byte-identical.
 //
 // Mobility: each UE follows a seed-derived waypoint walk over the grid —
 // exponential dwell (mean_dwell) in the current cell, then a uniform step
@@ -47,7 +45,7 @@
 // their home cell exactly as in run_cell; mobility draws come from a
 // dedicated per-UE sub-stream.  A 1-cell, zero-mobility metro is
 // byte-identical to cell::run_cell on the same config (check.sh gates
-// this), and metro sweeps are bit-identical across serial, sharded and
+// this), and metro sweeps are bit-identical across serial, pooled and
 // supervised execution.
 #pragma once
 
@@ -86,9 +84,7 @@ struct MetroConfig {
   /// Per-cell template.  `cell.users` is the MEAN number of UEs homed per
   /// cell (the hotspot distribution apportions users * grid_w * grid_h
   /// across cells); `cell.cell_seed` seeds cell c as cell_seed + c, so a
-  /// 1-cell metro reproduces run_cell exactly.  `cell.sim_shards` is the
-  /// per-cell shard count (the metro uses grid_w * grid_h * sim_shards
-  /// simulator shards, which must stay within the engine's 256).
+  /// 1-cell metro reproduces run_cell exactly.
   cell::CellConfig cell;
   int grid_w = 1;
   int grid_h = 1;
@@ -170,7 +166,7 @@ class MetroBuilder {
     return *this;
   }
   /// Validates and returns the config; throws std::invalid_argument on
-  /// contradictions (bad grid, shard overflow, bad dwell/hotspot, or a
+  /// contradictions (bad grid or too many cells, bad dwell/hotspot, or a
   /// per-cell template run_cell would reject).
   MetroConfig build() const;
 

@@ -1,8 +1,8 @@
 // Multi-UE shared-cell co-simulation: determinism (serial == pooled ==
-// supervised sweeps, sharded == single event queue), grant-pool accounting
-// under exhaustion, the qualitative Fig 11 capacity claim from first
-// principles, a chaos sweep over cell scenarios, and the checked-in
-// service-time quantiles for the M/G/N satellite.
+// supervised sweeps), grant-pool accounting under exhaustion, the
+// qualitative Fig 11 capacity claim from first principles, a chaos sweep
+// over cell scenarios, and the checked-in service-time quantiles for the
+// M/G/N satellite.
 #include "cell/cell.hpp"
 #include "cell/service_times.hpp"
 
@@ -78,26 +78,6 @@ TEST(CellTest, SameSeedSameResult) {
   const CellResult b = run_cell(config);
   EXPECT_GT(a.offered, 0u);
   EXPECT_EQ(fingerprint(a), fingerprint(b));
-}
-
-TEST(CellTest, ShardedEventQueuesAreBitIdenticalToSingleQueue) {
-  // The sharded multi-queue engine is a pure performance knob: any shard
-  // count must reproduce the single-queue run bit for bit — same counters,
-  // same per-UE energy to the last double.
-  CellConfig config = small_cell(browser::PipelineMode::kEnergyAware);
-  config.users = 20;
-  config.channels = 4;
-  ASSERT_EQ(config.sim_shards, 1);
-  const CellResult single = run_cell(config);
-  EXPECT_GT(single.offered, 0u);
-  for (int shards : {2, 4, 7}) {
-    config.sim_shards = shards;
-    const CellResult sharded = run_cell(config);
-    EXPECT_EQ(fingerprint(sharded), fingerprint(single))
-        << "shards=" << shards;
-    EXPECT_EQ(sharded.metrics.to_json(), single.metrics.to_json())
-        << "shards=" << shards;
-  }
 }
 
 TEST(CellTest, SweepSerialEqualsSharded) {
@@ -328,9 +308,9 @@ TEST(CellTest, ChaosSweepOverCellScenarios) {
 TEST(CellTest, OutageSweepSerialShardedSupervisedBitIdentical) {
   // 32 seeds of a degraded-radio cell — every UE runs its own coverage
   // process (with re-establishment failures) underneath two whole-cell
-  // blackouts — and for every seed the serial single-queue run, the sharded
-  // engine at K in {2, 4, 7} and a supervised run must produce the same
-  // bytes through serialize_cell_result (radio-failure counters included).
+  // blackouts — and for every seed the serial run and a supervised run must
+  // produce the same bytes through serialize_cell_result (radio-failure
+  // counters included).
   // EAB_CELL_OUTAGE_SEEDS trims the sweep for expensive builds (ASan).
   std::uint64_t seeds = 32;
   if (const char* raw = std::getenv("EAB_CELL_OUTAGE_SEEDS")) {
@@ -361,19 +341,11 @@ TEST(CellTest, OutageSweepSerialShardedSupervisedBitIdentical) {
     config.cell_outage_period = 25.0;
     config.cell_outage_duration = 3.0;
 
-    ASSERT_EQ(config.sim_shards, 1);
     const CellResult serial = run_cell(config);
     EXPECT_GT(serial.offered, 0u) << "seed " << seed;
     EXPECT_EQ(serial.leaked_flows, 0u) << "seed " << seed;
     EXPECT_GT(serial.cell_outages, 0u) << "seed " << seed;
     const std::string reference = serialize_cell_result(serial);
-
-    for (int shards : {2, 4, 7}) {
-      config.sim_shards = shards;
-      EXPECT_EQ(serialize_cell_result(run_cell(config)), reference)
-          << "seed " << seed << " shards " << shards;
-    }
-    config.sim_shards = 1;
 
     core::Supervisor supervisor(sup_config);
     const auto supervised =
@@ -410,6 +382,14 @@ TEST(CellTest, RejectsContradictoryConfigs) {
   bad = good;
   bad.sim_event_budget = 0;
   EXPECT_THROW(run_cell(bad), std::invalid_argument);
+
+  // One event queue: sim_shards accepts only 1, and never ignores another
+  // value silently.
+  for (int shards : {0, 2, 256}) {
+    bad = good;
+    bad.sim_shards = shards;
+    EXPECT_THROW(run_cell(bad), std::invalid_argument) << "shards=" << shards;
+  }
 
   // The per-UE template goes through the same ScenarioBuilder validation as
   // every single-UE experiment: a stall plan without a watchdog is rejected

@@ -323,51 +323,51 @@ TEST(EnvParsing, ParseEnvU64IsStrict) {
 
 TEST(EnvParsing, WellFormedOverridesAreHonored) {
   setenv("EAB_FAULT_SEED", "12345", 1);
-  EXPECT_EQ(bench::fault_seed_from_env(7), 12345u);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_FAULT_SEED", 7), 12345u);
   unsetenv("EAB_FAULT_SEED");
-  EXPECT_EQ(bench::fault_seed_from_env(7), 7u);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_FAULT_SEED", 7), 7u);
 
   setenv("EAB_TRACE", "1", 1);
-  EXPECT_TRUE(bench::trace_enabled());
+  EXPECT_TRUE(bench::knobs().flag("EAB_TRACE"));
   setenv("EAB_TRACE", "0", 1);
-  EXPECT_FALSE(bench::trace_enabled());
+  EXPECT_FALSE(bench::knobs().flag("EAB_TRACE"));
   unsetenv("EAB_TRACE");
-  EXPECT_FALSE(bench::trace_enabled());
+  EXPECT_FALSE(bench::knobs().flag("EAB_TRACE"));
 
   setenv("EAB_CHAOS_SEEDS", "32", 1);
-  EXPECT_EQ(bench::chaos_seed_count_from_env(256), 32);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_CHAOS_SEEDS", 256), 32u);
   unsetenv("EAB_CHAOS_SEEDS");
-  EXPECT_EQ(bench::chaos_seed_count_from_env(256), 256);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_CHAOS_SEEDS", 256), 256u);
 }
 
 TEST(EnvParsingDeathTest, MalformedFaultSeedDiesLoudly) {
   setenv("EAB_FAULT_SEED", "12bananas", 1);
-  EXPECT_EXIT(bench::fault_seed_from_env(7), ::testing::ExitedWithCode(2),
-              "EAB_FAULT_SEED");
+  EXPECT_EXIT(bench::knobs().u64_or("EAB_FAULT_SEED", 7),
+              ::testing::ExitedWithCode(2), "EAB_FAULT_SEED");
   unsetenv("EAB_FAULT_SEED");
 }
 
 TEST(EnvParsingDeathTest, MalformedTraceFlagDiesLoudly) {
   setenv("EAB_TRACE", "yes", 1);
-  EXPECT_EXIT(bench::trace_enabled(), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(bench::knobs().flag("EAB_TRACE"), ::testing::ExitedWithCode(2),
               "EAB_TRACE");
   unsetenv("EAB_TRACE");
 }
 
 TEST(EnvParsingDeathTest, ZeroChaosSeedsDiesLoudly) {
   setenv("EAB_CHAOS_SEEDS", "0", 1);
-  EXPECT_EXIT(bench::chaos_seed_count_from_env(256),
+  EXPECT_EXIT(bench::knobs().u64_or("EAB_CHAOS_SEEDS", 256),
               ::testing::ExitedWithCode(2), "EAB_CHAOS_SEEDS");
   unsetenv("EAB_CHAOS_SEEDS");
 }
 
 TEST(EnvParsing, SupervisionKnobsHonorWellFormedValues) {
   setenv("EAB_SUPERVISE", "1", 1);
-  EXPECT_TRUE(bench::supervise_enabled());
+  EXPECT_TRUE(bench::knobs().flag("EAB_SUPERVISE"));
   setenv("EAB_SUPERVISE", "0", 1);
-  EXPECT_FALSE(bench::supervise_enabled());
+  EXPECT_FALSE(bench::knobs().flag("EAB_SUPERVISE"));
   unsetenv("EAB_SUPERVISE");
-  EXPECT_FALSE(bench::supervise_enabled());
+  EXPECT_FALSE(bench::knobs().flag("EAB_SUPERVISE"));
 
   setenv("EAB_WORKERS", "8", 1);
   EXPECT_EQ(bench::knobs().u64_or("EAB_WORKERS", 0), 8u);
@@ -405,8 +405,8 @@ TEST(EnvParsing, SupervisionKnobsHonorWellFormedValues) {
 
 TEST(EnvParsingDeathTest, MalformedSuperviseFlagDiesLoudly) {
   setenv("EAB_SUPERVISE", "yes", 1);
-  EXPECT_EXIT(bench::supervise_enabled(), ::testing::ExitedWithCode(2),
-              "EAB_SUPERVISE");
+  EXPECT_EXIT(bench::knobs().flag("EAB_SUPERVISE"),
+              ::testing::ExitedWithCode(2), "EAB_SUPERVISE");
   unsetenv("EAB_SUPERVISE");
 }
 
@@ -446,21 +446,21 @@ TEST(EnvParsingDeathTest, MalformedOrchestratorChaosFlagDiesLoudly) {
 
 TEST(EnvParsing, TelemetryKnobsHonorWellFormedValues) {
   setenv("EAB_TELEMETRY", "1", 1);
-  EXPECT_TRUE(bench::telemetry_enabled());
+  EXPECT_TRUE(bench::knobs().flag("EAB_TELEMETRY"));
   setenv("EAB_TELEMETRY", "0", 1);
-  EXPECT_FALSE(bench::telemetry_enabled());
+  EXPECT_FALSE(bench::knobs().flag("EAB_TELEMETRY"));
   unsetenv("EAB_TELEMETRY");
-  EXPECT_FALSE(bench::telemetry_enabled());
+  EXPECT_FALSE(bench::knobs().flag("EAB_TELEMETRY"));
 
   setenv("EAB_TELEMETRY_TICK", "10", 1);
-  EXPECT_EQ(bench::telemetry_tick_from_env(), 10.0);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_TELEMETRY_TICK", 5), 10u);
   unsetenv("EAB_TELEMETRY_TICK");
-  EXPECT_EQ(bench::telemetry_tick_from_env(), 5.0);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_TELEMETRY_TICK", 5), 5u);
 
   setenv("EAB_TELEMETRY_BUDGET", "1024", 1);
-  EXPECT_EQ(bench::telemetry_budget_from_env(), 1024u);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_TELEMETRY_BUDGET", 256), 1024u);
   unsetenv("EAB_TELEMETRY_BUDGET");
-  EXPECT_EQ(bench::telemetry_budget_from_env(), 256u);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_TELEMETRY_BUDGET", 256), 256u);
 
   setenv("EAB_PROGRESS", "1", 1);
   EXPECT_TRUE(bench::knobs().flag("EAB_PROGRESS"));
@@ -472,30 +472,30 @@ TEST(EnvParsing, TelemetryKnobsHonorWellFormedValues) {
 
 TEST(EnvParsingDeathTest, MalformedTelemetryFlagDiesLoudly) {
   setenv("EAB_TELEMETRY", "yes", 1);
-  EXPECT_EXIT(bench::telemetry_enabled(), ::testing::ExitedWithCode(2),
-              "EAB_TELEMETRY");
+  EXPECT_EXIT(bench::knobs().flag("EAB_TELEMETRY"),
+              ::testing::ExitedWithCode(2), "EAB_TELEMETRY");
   unsetenv("EAB_TELEMETRY");
 }
 
 TEST(EnvParsingDeathTest, OutOfRangeTelemetryTickDiesLoudly) {
   setenv("EAB_TELEMETRY_TICK", "0", 1);
-  EXPECT_EXIT(bench::telemetry_tick_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_TELEMETRY_TICK");
+  EXPECT_EXIT(bench::knobs().u64_or("EAB_TELEMETRY_TICK", 5),
+              ::testing::ExitedWithCode(2), "EAB_TELEMETRY_TICK");
   setenv("EAB_TELEMETRY_TICK", "86401", 1);
-  EXPECT_EXIT(bench::telemetry_tick_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_TELEMETRY_TICK");
+  EXPECT_EXIT(bench::knobs().u64_or("EAB_TELEMETRY_TICK", 5),
+              ::testing::ExitedWithCode(2), "EAB_TELEMETRY_TICK");
   setenv("EAB_TELEMETRY_TICK", "5s", 1);
-  EXPECT_EXIT(bench::telemetry_tick_from_env(), ::testing::ExitedWithCode(2),
-              "EAB_TELEMETRY_TICK");
+  EXPECT_EXIT(bench::knobs().u64_or("EAB_TELEMETRY_TICK", 5),
+              ::testing::ExitedWithCode(2), "EAB_TELEMETRY_TICK");
   unsetenv("EAB_TELEMETRY_TICK");
 }
 
 TEST(EnvParsingDeathTest, OutOfRangeTelemetryBudgetDiesLoudly) {
   setenv("EAB_TELEMETRY_BUDGET", "1", 1);
-  EXPECT_EXIT(bench::telemetry_budget_from_env(),
+  EXPECT_EXIT(bench::knobs().u64_or("EAB_TELEMETRY_BUDGET", 256),
               ::testing::ExitedWithCode(2), "EAB_TELEMETRY_BUDGET");
   setenv("EAB_TELEMETRY_BUDGET", "1048577", 1);
-  EXPECT_EXIT(bench::telemetry_budget_from_env(),
+  EXPECT_EXIT(bench::knobs().u64_or("EAB_TELEMETRY_BUDGET", 256),
               ::testing::ExitedWithCode(2), "EAB_TELEMETRY_BUDGET");
   unsetenv("EAB_TELEMETRY_BUDGET");
 }

@@ -1,7 +1,7 @@
 // Metro layer: the 1-cell zero-mobility metro reproduces run_cell byte for
-// byte, metro runs are shard-count- and execution-tier-invariant, the
-// mobility ledger conserves UEs and grants, the hotspot apportionment is
-// deterministic, and traced mobility runs audit clean per UE.
+// byte, metro runs are execution-tier-invariant, the mobility ledger
+// conserves UEs and grants, the hotspot apportionment is deterministic, and
+// traced mobility runs audit clean per UE.
 #include "metro/metro.hpp"
 
 #include <gtest/gtest.h>
@@ -70,7 +70,7 @@ TEST(MetroTest, OneCellZeroMobilityIsByteIdenticalToRunCell) {
 TEST(MetroTest, OneCellTelemetryAndOutagesStillMatchRunCell) {
   // The hard variants of the identity: the shared TickCoordinator must end
   // the tick chain exactly where run_cell's does, and whole-cell outage
-  // scheduling must replay on the same shard at the same instants.
+  // scheduling must replay at the same instants.
   cell::CellConfig config = small_cell(browser::PipelineMode::kOriginal);
   config.telemetry_tick = 7.0;
   config.cell_outage_count = 2;
@@ -126,22 +126,6 @@ TEST(MetroTest, ZeroDwellMultiCellEqualsIndependentCells) {
   EXPECT_EQ(metro.end_time, max_end);
   for (const cell::CellResult& cr : metro.cells) {
     EXPECT_EQ(cr.end_time, max_end);
-  }
-}
-
-TEST(MetroTest, ShardCountIsInvisibleInTheResultBytes) {
-  MetroConfig config = small_metro(browser::PipelineMode::kEnergyAware);
-  config.cell.users = 8;
-  config.cell.channels = 2;
-  ASSERT_EQ(config.cell.sim_shards, 1);
-  const std::string single = serialize_metro_result(run_metro(config));
-  const MetroResult reference = deserialize_metro_result(single);
-  EXPECT_GT(reference.offered, 0u);
-  EXPECT_GT(reference.reselects + reference.handovers, 0u);
-  for (int shards : {2, 4, 7}) {
-    config.cell.sim_shards = shards;
-    EXPECT_EQ(serialize_metro_result(run_metro(config)), single)
-        << "sim_shards=" << shards;
   }
 }
 
@@ -337,13 +321,16 @@ TEST(MetroTest, BuilderValidatesAtBuild) {
   EXPECT_THROW(MetroBuilder().cell(cell).grid(0, 3).build(),
                std::invalid_argument);
   EXPECT_THROW(MetroBuilder().cell(cell).grid(17, 16).build(),
-               std::invalid_argument);  // 272 shards > engine limit
+               std::invalid_argument);  // 272 cells > the 256-cell bound
   EXPECT_THROW(MetroBuilder().cell(cell).mean_dwell(-1.0).build(),
                std::invalid_argument);
   EXPECT_THROW(MetroBuilder().cell(cell).hotspot(-0.5).build(),
                std::invalid_argument);
   cell::CellConfig bad = cell;
   bad.users = 0;  // the template goes through the one cell validation path
+  EXPECT_THROW(MetroBuilder().cell(bad).build(), std::invalid_argument);
+  bad = cell;
+  bad.sim_shards = 2;  // one event queue: only 1 is legal
   EXPECT_THROW(MetroBuilder().cell(bad).build(), std::invalid_argument);
 
   core::Supervisor supervisor;

@@ -10,8 +10,7 @@
 // cancelled ids (tombstones + stale-handle rejection), events that spawn
 // children from inside their own callback (in-place invoke + slot reuse),
 // oversized captures (OverflowPool), run_until sweeps, bounded run(max),
-// and the sharded multi-queue (whose merge must be bit-identical to the
-// single queue no matter where events land).
+// and several independent soups merged on the one queue.
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -157,15 +156,15 @@ std::size_t run_some(ReferenceSim& sim, std::size_t max) {
   return sim.run(max);
 }
 
-/// Replays `ops` random operations against `sim` (either engine).  Every
-/// fifth tag spawns a child from inside its own callback; every seventh tag
-/// drags a ~200-byte payload through the callable (exercising OverflowPool
-/// on the real engine).  `shards`, when the engine supports sharding,
-/// scatters schedules across queues — the merge must hide it completely.
+/// Replays `ops` random operations per soup against `sim` (either engine),
+/// one seed-derived op soup per entry of `seeds`, interleaved op by op on
+/// the one queue.  Every fifth tag spawns a child from inside its own
+/// callback; every seventh tag drags a ~200-byte payload through the
+/// callable (exercising OverflowPool on the real engine).
 template <class SimT>
-Observations replay(SimT& sim, std::uint64_t seed, int ops, int shards) {
+Observations replay(SimT& sim, const std::vector<std::uint64_t>& seeds,
+                    int ops) {
   Observations obs;
-  std::vector<std::uint64_t> handles;  // dense tags; index = tag - 1
   std::uint64_t next_tag = 1;
 
   std::function<void(std::uint64_t)> fire = [&](std::uint64_t tag) {
@@ -176,11 +175,9 @@ Observations replay(SimT& sim, std::uint64_t seed, int ops, int shards) {
     }
   };
 
-  auto schedule = [&](Seconds at) {
+  // A soup cancels only its own events, as one cell cancels only its own.
+  auto schedule = [&](std::vector<std::uint64_t>& handles, Seconds at) {
     const std::uint64_t tag = next_tag++;
-    if constexpr (requires { sim.set_schedule_shard(0); }) {
-      if (shards > 1) sim.set_schedule_shard(static_cast<int>(tag % shards));
-    }
     std::uint64_t handle;
     if (tag % 7 == 0) {
       // Oversized capture: far past the inline buffer, forcing the pool.
@@ -196,25 +193,36 @@ Observations replay(SimT& sim, std::uint64_t seed, int ops, int shards) {
     handles.push_back(handle);
   };
 
-  Rng rng(derive_seed(seed, 0xd1ffu));
+  struct Soup {
+    Rng rng;
+    std::vector<std::uint64_t> handles;
+  };
+  std::vector<Soup> soups;
+  for (const std::uint64_t seed : seeds) {
+    soups.push_back({Rng(derive_seed(seed, 0xd1ffu)), {}});
+  }
   for (int i = 0; i < ops; ++i) {
-    const double roll = rng.uniform();
-    if (roll < 0.45) {
-      schedule(sim.now() + rng.uniform(0.0, 100.0));
-    } else if (roll < 0.60) {
-      // Quantized times: deliberate collisions to stress the tie-break.
-      schedule(sim.now() + static_cast<Seconds>(rng.uniform_index(20)));
-    } else if (roll < 0.75 && !handles.empty()) {
-      const std::uint64_t victim = rng.uniform_index(handles.size());
-      obs.cancel_results.push_back(
-          sim.cancel(from_handle<SimT>(handles[victim])));
-    } else if (roll < 0.85) {
-      sim.step();
-    } else if (roll < 0.95) {
-      obs.run_counts.push_back(
-          sim.run_until(sim.now() + rng.uniform(0.0, 50.0)));
-    } else {
-      obs.run_counts.push_back(run_some(sim, rng.uniform_index(16)));
+    for (Soup& soup : soups) {
+      Rng& rng = soup.rng;
+      const double roll = rng.uniform();
+      if (roll < 0.45) {
+        schedule(soup.handles, sim.now() + rng.uniform(0.0, 100.0));
+      } else if (roll < 0.60) {
+        // Quantized times: deliberate collisions to stress the tie-break.
+        schedule(soup.handles,
+                 sim.now() + static_cast<Seconds>(rng.uniform_index(20)));
+      } else if (roll < 0.75 && !soup.handles.empty()) {
+        const std::uint64_t victim = rng.uniform_index(soup.handles.size());
+        obs.cancel_results.push_back(
+            sim.cancel(from_handle<SimT>(soup.handles[victim])));
+      } else if (roll < 0.85) {
+        sim.step();
+      } else if (roll < 0.95) {
+        obs.run_counts.push_back(
+            sim.run_until(sim.now() + rng.uniform(0.0, 50.0)));
+      } else {
+        obs.run_counts.push_back(run_some(sim, rng.uniform_index(16)));
+      }
     }
   }
   sim.run();
@@ -231,15 +239,16 @@ class SimDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SimDifferential, EngineMatchesNaiveReference) {
   const std::uint64_t seed = GetParam();
   ReferenceSim reference;
-  const Observations expected = replay(reference, seed, 400, 1);
+  const Observations expected = replay(reference, {seed}, 400);
 
   Simulator engine;
-  const Observations actual = replay(engine, seed, 400, 1);
+  const Observations actual = replay(engine, {seed}, 400);
 
   ASSERT_EQ(actual.fires.size(), expected.fires.size());
   for (std::size_t i = 0; i < expected.fires.size(); ++i) {
     EXPECT_EQ(actual.fires[i].first, expected.fires[i].first) << "fire " << i;
-    EXPECT_DOUBLE_EQ(actual.fires[i].second, expected.fires[i].second)
+    // Exact: both engines compute every timestamp the same way.
+    EXPECT_EQ(actual.fires[i].second, expected.fires[i].second)
         << "fire " << i;
   }
   EXPECT_EQ(actual.cancel_results, expected.cancel_results);
@@ -252,14 +261,19 @@ TEST_P(SimDifferential, EngineMatchesNaiveReference) {
 }
 
 TEST_P(SimDifferential, ShardedEngineMatchesNaiveReference) {
+  // Three soups share the one queue, interleaved op by op: the shape of a
+  // metro run, where every cell's events land in the same heap.  Each soup
+  // draws its own seed, so their events collide, cancel and spawn children
+  // amid one another, and the merge must still fire strictly by
+  // (time, order stamp).
   const std::uint64_t seed = GetParam();
+  const std::vector<std::uint64_t> seeds = {
+      seed, derive_seed(seed, 1), derive_seed(seed, 2)};
   ReferenceSim reference;
-  const Observations expected = replay(reference, seed, 400, 1);
+  const Observations expected = replay(reference, seeds, 150);
 
-  // Same sequence, but scattered across 3 queues by tag.  Shard placement
-  // is invisible: the merge fires strictly by (time, order stamp).
-  Simulator engine(3);
-  const Observations actual = replay(engine, seed, 400, 3);
+  Simulator engine;
+  const Observations actual = replay(engine, seeds, 150);
 
   EXPECT_EQ(actual.fires, expected.fires);
   EXPECT_EQ(actual.cancel_results, expected.cancel_results);
@@ -267,6 +281,7 @@ TEST_P(SimDifferential, ShardedEngineMatchesNaiveReference) {
   EXPECT_DOUBLE_EQ(actual.final_now, expected.final_now);
   EXPECT_EQ(actual.fired, expected.fired);
   EXPECT_EQ(actual.cancelled, expected.cancelled);
+  EXPECT_EQ(actual.pending_after_drain, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimDifferential,
