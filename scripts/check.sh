@@ -56,10 +56,15 @@ echo "== ASan: fault-path tests under -fsanitize=address =="
 # stale-callback drops, cancelled-flow teardown).
 cmake -B build-asan -S . -DEAB_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
-  --target net_fault_test --target net_http_test --target web_robustness_test
+  --target net_fault_test --target net_http_test --target web_robustness_test \
+  --target web_js_resolve_test
 ./build-asan/tests/net_fault_test
 ./build-asan/tests/net_http_test
 ./build-asan/tests/web_robustness_test
+# MiniScript function values point into the resolved program that declared
+# them; the resolve oracle's chains call functions declared by earlier
+# scripts, so a program freed too early is a use-after-free here.
+./build-asan/tests/web_js_resolve_test
 # The UE stack every driver is built on (core::UeStack): the CPU scheduler
 # disarms an aborted load's running task, and the single-load and session
 # pins run every optional layer (faults, outages, cache storms, RIL
@@ -264,16 +269,19 @@ echo "== UBSan: event-engine and MiniScript tests under -fsanitize=undefined =="
 # (placement new, raw vtable calls, power-of-two size-class blocks); UBSan
 # guards the alignment/lifetime contracts, driven hardest by the
 # differential test's random op soups.  MiniScript
-# turns script doubles into indexes; float-cast-overflow (named explicitly
-# in CMakeLists.txt) catches any that reach a cast out of range, over the
-# fuzz soups and the memo oracle's corpus, truncated and budget chains.
+# turns script doubles into indexes and remainders; float-cast-overflow
+# (named explicitly in CMakeLists.txt) catches any that reach a cast out of
+# range, over the fuzz soups, random programs and the memo and resolve
+# oracles' corpus, truncated and budget chains.
 cmake -B build-ubsan -S . -DEAB_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
   --target sim_simulator_test --target sim_differential_test \
-  --target web_js_test --target web_robustness_test --target web_js_memo_test
+  --target web_js_test --target web_robustness_test --target web_js_memo_test \
+  --target web_js_resolve_test
 ./build-ubsan/tests/sim_simulator_test
 ./build-ubsan/tests/sim_differential_test
 ./build-ubsan/tests/web_js_test
+./build-ubsan/tests/web_js_resolve_test
 ./build-ubsan/tests/web_robustness_test
 ./build-ubsan/tests/web_js_memo_test
 

@@ -5,7 +5,17 @@
 // is no way to know whether one will trigger a fetch without running it.  To
 // reproduce that, corpus pages embed real scripts in a JS subset and both
 // pipelines *execute* them through this engine:
-//   lexer -> recursive-descent parser -> AST -> tree-walking interpreter.
+//
+//   source -> lexer -> recursive-descent parser -> AST
+//          -> resolve (js_resolve.hpp) -> evaluator over the resolved program
+//
+// The resolve pass runs once per parsed script.  It turns operators into
+// opcodes, document/Math/window into constants, builtin and host-method
+// names into ids and identifiers into per-Interpreter name ids, so the
+// evaluator compares no strings and its globals are a dense vector.  Scoping
+// stays dynamic: a call pushes a frame its callees also see, and a name is
+// looked up through every live frame before the globals.  return, break and
+// continue travel as completion codes, not exceptions.
 //
 // Scripts reach the outside world through a JsHost: document.write() feeds
 // markup back into the HTML parser (possibly discovering more resources) and
@@ -130,13 +140,18 @@ using Object = std::map<std::string, Value>;
 /// Sentinels for host-provided namespace objects (document, Math, window).
 enum class HostObject { kDocument, kMath, kWindow };
 
+/// A script function: its resolved declaration (js_resolve.hpp).
+struct Function;
+/// The name a script function was declared with.
+const std::string& function_name(const Function& function);
+
 struct Value {
   using Storage = std::variant<std::monostate,           // undefined
                                std::nullptr_t,           // null
                                bool, double, std::string,
                                std::shared_ptr<Array>,   // array
                                std::shared_ptr<Object>,  // object literal
-                               const Stmt*,              // script function
+                               const Function*,          // script function
                                HostObject>;
   Storage storage;
 
@@ -180,9 +195,11 @@ struct RunResult {
 
 /// A stored script outcome (defined with the memo in js_interpreter.cpp).
 struct ScriptOutcome;
+/// A script after the resolve pass (js_resolve.hpp).
+struct ResolvedProgram;
 
-/// Tree-walking interpreter with a persistent global scope, so consecutive
-/// scripts on one page share state exactly as the paper requires.
+/// Interpreter with a persistent global scope, so consecutive scripts on one
+/// page share state exactly as the paper requires.
 ///
 /// A script's outcome is a pure function of the sources run before it on
 /// the page, its own source and the op budget, unless it draws
@@ -216,9 +233,14 @@ class Interpreter {
   JsHost& host_;
   std::uint64_t op_budget_;
   std::uint64_t total_ops_ = 0;
-  std::unordered_map<std::string, Value> globals_;
-  /// Function declarations stay alive across scripts.
-  std::vector<std::shared_ptr<Program>> retained_programs_;
+  /// Every identifier the page's resolved scripts mention, interned to the
+  /// index of its slot in globals_.
+  std::unordered_map<std::string, std::uint32_t> name_ids_;
+  /// One slot per interned name; a name never assigned reads undefined.
+  std::vector<Value> globals_;
+  /// Scripts that declare functions stay alive: function values point into
+  /// them.
+  std::vector<std::shared_ptr<const ResolvedProgram>> retained_programs_;
   /// Chain hash over the op budget and every source run so far.
   std::uint64_t chain_hash_;
   /// Memo id of the last script's stored outcome, 0 before the first

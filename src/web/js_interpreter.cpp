@@ -7,17 +7,10 @@
 #include <optional>
 
 #include "web/js.hpp"
+#include "web/js_resolve.hpp"
 
 namespace eab::web::js {
 namespace {
-
-/// Thrown to unwind out of a function body on `return`.
-struct ReturnSignal {
-  Value value;
-};
-/// Thrown to unwind to the innermost loop on `break` / `continue`.
-struct BreakSignal {};
-struct ContinueSignal {};
 
 /// The element an index names in a sequence of `size`, or nullopt when it
 /// names none: negative, non-integral, NaN or at/past the end.  Checked in
@@ -79,7 +72,7 @@ std::string Value::to_string() const {
     }
     return out;
   }
-  if (std::holds_alternative<const Stmt*>(storage)) return "[function]";
+  if (std::holds_alternative<const Function*>(storage)) return "[function]";
   if (std::holds_alternative<std::shared_ptr<Object>>(storage)) {
     return "[object Object]";
   }
@@ -88,280 +81,505 @@ std::string Value::to_string() const {
 
 namespace {
 
-/// Executes a program against an Interpreter's global state.
+[[noreturn, gnu::cold, gnu::noinline]] void fail(const std::string& what) {
+  throw JsError(what);
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void budget_exceeded() {
+  fail("op budget exceeded");
+}
+
+Value number_value(double d) {
+  Value value;
+  value.storage.emplace<double>(d);
+  return value;
+}
+
+Value bool_value(bool b) {
+  Value value;
+  value.storage.emplace<bool>(b);
+  return value;
+}
+
+Value string_value(std::string s) {
+  Value value;
+  value.storage.emplace<std::string>(std::move(s));
+  return value;
+}
+
+std::string type_name(const Value& value) {
+  if (std::holds_alternative<std::monostate>(value.storage)) return "undefined";
+  if (std::holds_alternative<std::nullptr_t>(value.storage)) return "object";
+  if (std::holds_alternative<bool>(value.storage)) return "boolean";
+  if (std::holds_alternative<double>(value.storage)) return "number";
+  if (std::holds_alternative<std::string>(value.storage)) return "string";
+  if (std::holds_alternative<const Function*>(value.storage)) return "function";
+  return "object";
+}
+
+/// Runs a resolved program against an Interpreter's globals.  Every node
+/// executed or evaluated costs one tick, taken before anything else the
+/// node does; the op budget cuts the run off at the tick that exceeds it.
 class Evaluator {
  public:
-  Evaluator(std::unordered_map<std::string, Value>& globals, JsHost& host,
-            std::uint64_t budget)
+  Evaluator(std::vector<Value>& globals, JsHost& host, std::uint64_t budget)
       : globals_(globals), host_(host), budget_(budget) {}
 
   std::uint64_t ops() const { return ops_; }
 
-  void run(const Program& program) {
-    try {
-      for (const auto& stmt : program.statements) {
-        execute(*stmt);
+  void run(const ResolvedProgram& program) {
+    for (const Node& statement : program.statements) {
+      switch (execute(statement)) {
+        case Completion::kNormal:
+          break;
+        case Completion::kReturn:
+          fail("return outside function");
+        case Completion::kBreak:
+          fail("break outside loop");
+        case Completion::kContinue:
+          fail("continue outside loop");
       }
-    } catch (ReturnSignal&) {
-      fail("return outside function");
-    } catch (BreakSignal&) {
-      fail("break outside loop");
-    } catch (ContinueSignal&) {
-      fail("continue outside loop");
     }
   }
 
  private:
-  [[noreturn]] void fail(const std::string& what) { throw JsError(what); }
+  /// How a statement ended.  A loop consumes kBreak and kContinue, a call
+  /// consumes kReturn; whatever reaches the top level or a function body's
+  /// end unconsumed is an error.
+  enum class Completion { kNormal, kReturn, kBreak, kContinue };
+
+  struct Local {
+    std::uint32_t name;
+    Value value;
+  };
+  /// One call's variables.  Frames are few and small, so a linear scan
+  /// beats hashing.
+  using Frame = std::vector<Local>;
 
   void tick() {
-    if (++ops_ > budget_) fail("op budget exceeded");
+    if (++ops_ > budget_) [[unlikely]] budget_exceeded();
   }
 
   // --- scope handling -----------------------------------------------------
+  //
+  // Dynamic scoping: a call's frame is visible to everything it calls, so a
+  // name is looked up in every live frame, innermost first, and then in the
+  // globals.  A name no frame holds is a global, undefined until assigned.
 
-  using Scope = std::unordered_map<std::string, Value>;
-
-  Value* find_variable(const std::string& name) {
-    for (auto it = locals_.rbegin(); it != locals_.rend(); ++it) {
-      auto found = it->find(name);
-      if (found != it->end()) return &found->second;
+  Value& variable(std::uint32_t name) {
+    for (std::size_t depth = depth_; depth-- > 0;) {
+      for (Local& local : frames_[depth]) {
+        if (local.name == name) return local.value;
+      }
     }
-    auto found = globals_.find(name);
-    return found == globals_.end() ? nullptr : &found->second;
+    return globals_[name];
   }
 
-  void declare(const std::string& name, Value value) {
-    if (locals_.empty()) {
+  static void set_local(Frame& frame, std::uint32_t name, Value value) {
+    for (Local& local : frame) {
+      if (local.name == name) {
+        local.value = std::move(value);
+        return;
+      }
+    }
+    frame.push_back({name, std::move(value)});
+  }
+
+  void declare(std::uint32_t name, Value value) {
+    if (depth_ == 0) {
       globals_[name] = std::move(value);
     } else {
-      locals_.back()[name] = std::move(value);
-    }
-  }
-
-  void assign(const std::string& name, Value value) {
-    if (Value* slot = find_variable(name)) {
-      *slot = std::move(value);
-    } else {
-      globals_[name] = std::move(value);  // implicit global, like JS
+      set_local(frames_[depth_ - 1], name, std::move(value));
     }
   }
 
   // --- statements ----------------------------------------------------------
 
-  void execute(const Stmt& stmt) {
+  Completion execute(const Node& node) {
     tick();
-    switch (stmt.kind) {
-      case Stmt::Kind::kExpr:
-        evaluate(*stmt.exprs[0]);
-        return;
-      case Stmt::Kind::kVarDecl:
-        declare(stmt.text,
-                stmt.exprs.empty() ? Value::undefined() : evaluate(*stmt.exprs[0]));
-        return;
-      case Stmt::Kind::kBlock:
-        for (const auto& child : stmt.stmts) execute(*child);
-        return;
-      case Stmt::Kind::kIf:
-        if (evaluate(*stmt.exprs[0]).truthy()) {
-          execute(*stmt.stmts[0]);
-        } else if (stmt.stmts.size() > 1) {
-          execute(*stmt.stmts[1]);
-        }
-        return;
-      case Stmt::Kind::kWhile:
-        while (evaluate(*stmt.exprs[0]).truthy()) {
-          try {
-            execute(*stmt.stmts[0]);
-          } catch (BreakSignal&) {
-            break;
-          } catch (ContinueSignal&) {
+    switch (node.op) {
+      case Op::kExpression:
+        perform(node.kids[0]);
+        return Completion::kNormal;
+      case Op::kVar:
+        declare(node.name, node.kids.empty() ? Value() : evaluate(node.kids[0]));
+        return Completion::kNormal;
+      case Op::kBlock:
+        for (const Node& child : node.kids) {
+          if (const Completion done = execute(child); done != Completion::kNormal) {
+            return done;
           }
         }
-        return;
-      case Stmt::Kind::kFor:
-        execute(*stmt.stmts[0]);  // init
-        while (evaluate(*stmt.exprs[0]).truthy()) {
-          try {
-            execute(*stmt.stmts[1]);  // body
-          } catch (BreakSignal&) {
-            break;
-          } catch (ContinueSignal&) {
-          }
-          if (stmt.exprs.size() > 1) evaluate(*stmt.exprs[1]);  // step
+        return Completion::kNormal;
+      case Op::kIf:
+        if (test(node.kids[0])) return execute(node.kids[1]);
+        if (node.kids.size() > 2) return execute(node.kids[2]);
+        return Completion::kNormal;
+      case Op::kWhile:
+        while (test(node.kids[0])) {
+          const Completion done = execute(node.kids[1]);
+          if (done == Completion::kBreak) break;
+          if (done == Completion::kReturn) return done;
         }
-        return;
-      case Stmt::Kind::kFunction:
-        declare(stmt.text, Value::make(&stmt));
-        return;
-      case Stmt::Kind::kReturn:
-        throw ReturnSignal{stmt.exprs.empty() ? Value::undefined()
-                                              : evaluate(*stmt.exprs[0])};
-      case Stmt::Kind::kBreak:
-        throw BreakSignal{};
-      case Stmt::Kind::kContinue:
-        throw ContinueSignal{};
+        return Completion::kNormal;
+      case Op::kFor:
+        if (const Completion done = execute(node.kids[0]); done != Completion::kNormal) {
+          return done;
+        }
+        while (test(node.kids[1])) {
+          const Completion done = execute(node.kids[2]);
+          if (done == Completion::kBreak) break;
+          if (done == Completion::kReturn) return done;
+          if (node.kids.size() > 3) perform(node.kids[3]);
+        }
+        return Completion::kNormal;
+      case Op::kFunction: {
+        Value function;
+        function.storage.emplace<const Function*>(node.function.get());
+        declare(node.name, std::move(function));
+        return Completion::kNormal;
+      }
+      case Op::kReturn:
+        return_value_ = node.kids.empty() ? Value() : evaluate(node.kids[0]);
+        return Completion::kReturn;
+      case Op::kBreak:
+        return Completion::kBreak;
+      case Op::kContinue:
+        return Completion::kContinue;
+      default:
+        fail("unreachable statement kind");
     }
   }
 
   // --- expressions ----------------------------------------------------------
 
-  Value evaluate(const Expr& expr) {
+  /// evaluate(node), for a node whose value is dropped: an expression
+  /// statement or a for loop's step.
+  void perform(const Node& node) {
+    if (node.op != Op::kAssignName || node.compound != Compound::kNone) {
+      evaluate(node);
+      return;
+    }
     tick();
-    switch (expr.kind) {
-      case Expr::Kind::kNumber:
-        return Value::make(expr.number);
-      case Expr::Kind::kString:
-        return Value::make(expr.text);
-      case Expr::Kind::kBool:
-        return Value::make(expr.boolean);
-      case Expr::Kind::kNull:
-        return expr.text == "undefined" ? Value::undefined() : Value::null();
-      case Expr::Kind::kIdentifier:
-        return identifier(expr.text);
-      case Expr::Kind::kArray: {
+    double number;
+    std::optional<Value> value;
+    if (evaluate_number(node.kids[1], number, value)) {
+      variable(node.name).storage.emplace<double>(number);
+    } else {
+      variable(node.name) = std::move(*value);
+    }
+  }
+
+  /// evaluate(node), but a number comes back in `number`, with no Value
+  /// built; any other result lands in `value`.  Returns whether `number`
+  /// holds the result.
+  bool evaluate_number(const Node& node, double& number,
+                       std::optional<Value>& value) {
+    switch (node.op) {
+      case Op::kConstant:
+        tick();
+        if (!node.constant.is_number()) {
+          value.emplace(node.constant);
+          return false;
+        }
+        number = node.number;
+        return true;
+      case Op::kName: {
+        tick();
+        const Value& variable_value = variable(node.name);
+        if (const double* held = std::get_if<double>(&variable_value.storage)) {
+          number = *held;
+          return true;
+        }
+        value.emplace(variable_value);
+        return false;
+      }
+      case Op::kAdd:
+        tick();
+        return add(node, number, value);
+      case Op::kNeg:
+      case Op::kSub:
+      case Op::kMul:
+      case Op::kDiv:
+      case Op::kMod:
+        number = number_of(node);
+        return true;
+      default:
+        value.emplace(evaluate(node));
+        return false;
+    }
+  }
+
+  /// evaluate(node).to_number(), with no Value built where the node's
+  /// number can be read directly.
+  double number_of(const Node& node) {
+    switch (node.op) {
+      case Op::kConstant:
+        tick();
+        return node.number;
+      case Op::kName:
+        tick();
+        return variable(node.name).to_number();
+      case Op::kNeg:
+        tick();
+        return -number_of(node.kids[0]);
+      case Op::kSub:
+      case Op::kMul:
+      case Op::kDiv:
+      case Op::kMod: {
+        tick();
+        const double lhs = number_of(node.kids[0]);
+        const double rhs = number_of(node.kids[1]);
+        return arithmetic(node.op, lhs, rhs);
+      }
+      default: {
+        double number;
+        std::optional<Value> value;
+        return evaluate_number(node, number, value) ? number : value->to_number();
+      }
+    }
+  }
+
+  /// evaluate(node).truthy(), with no Value built for comparisons and
+  /// logic.
+  bool test(const Node& node) {
+    switch (node.op) {
+      case Op::kNot:
+        tick();
+        return !test(node.kids[0]);
+      case Op::kAnd:
+        tick();
+        return test(node.kids[0]) && test(node.kids[1]);
+      case Op::kOr:
+        tick();
+        return test(node.kids[0]) || test(node.kids[1]);
+      case Op::kEq:
+        tick();
+        return equals(node);
+      case Op::kNe:
+        tick();
+        return !equals(node);
+      case Op::kLt:
+      case Op::kGt:
+      case Op::kLe:
+      case Op::kGe: {
+        tick();
+        const double lhs = number_of(node.kids[0]);
+        const double rhs = number_of(node.kids[1]);
+        return compare(node.op, lhs, rhs);
+      }
+      default:
+        return evaluate(node).truthy();
+    }
+  }
+
+  /// The operands of the kAdd `node` added, once its own tick is taken.
+  bool add(const Node& node, double& number, std::optional<Value>& value) {
+    double lhs_number;
+    double rhs_number;
+    std::optional<Value> lhs;
+    std::optional<Value> rhs;
+    const bool lhs_is_number = evaluate_number(node.kids[0], lhs_number, lhs);
+    const bool rhs_is_number = evaluate_number(node.kids[1], rhs_number, rhs);
+    if (lhs_is_number && rhs_is_number) {
+      number = lhs_number + rhs_number;
+      return true;
+    }
+    if (lhs_is_number) lhs = number_value(lhs_number);
+    if (rhs_is_number) rhs = number_value(rhs_number);
+    value.emplace(add(*lhs, *rhs));
+    return false;
+  }
+
+  /// Whether the operands of the kEq/kNe `node` are equal, once its own
+  /// tick is taken: numerically if both are numbers, else as strings.
+  bool equals(const Node& node) {
+    double lhs_number;
+    double rhs_number;
+    std::optional<Value> lhs;
+    std::optional<Value> rhs;
+    const bool lhs_is_number = evaluate_number(node.kids[0], lhs_number, lhs);
+    const bool rhs_is_number = evaluate_number(node.kids[1], rhs_number, rhs);
+    if (lhs_is_number && rhs_is_number) return lhs_number == rhs_number;
+    if (lhs_is_number) lhs = number_value(lhs_number);
+    if (rhs_is_number) rhs = number_value(rhs_number);
+    if (lhs->is_number() && rhs->is_number()) {
+      return lhs->to_number() == rhs->to_number();
+    }
+    return lhs->to_string() == rhs->to_string();
+  }
+
+  static double arithmetic(Op op, double lhs, double rhs) {
+    switch (op) {
+      case Op::kSub:
+        return lhs - rhs;
+      case Op::kMul:
+        return lhs * rhs;
+      case Op::kDiv:
+        return lhs / rhs;
+      default:
+        return remainder_of(lhs, rhs);
+    }
+  }
+
+  /// std::fmod(lhs, rhs).  Positive integral operands below 2^32 take the
+  /// integer remainder instead: the same value, exactly, at a fraction of
+  /// the cost.  Zero, negative, fractional and larger operands take fmod.
+  static double remainder_of(double lhs, double rhs) {
+    constexpr double kLimit = 4294967296.0;  // 2^32
+    if (lhs > 0 && lhs < kLimit && rhs > 0 && rhs < kLimit) {
+      const auto dividend = static_cast<std::uint32_t>(lhs);
+      const auto divisor = static_cast<std::uint32_t>(rhs);
+      if (dividend == lhs && divisor == rhs) {
+        return static_cast<double>(dividend % divisor);
+      }
+    }
+    return std::fmod(lhs, rhs);
+  }
+
+  static bool compare(Op op, double lhs, double rhs) {
+    switch (op) {
+      case Op::kLt:
+        return lhs < rhs;
+      case Op::kGt:
+        return lhs > rhs;
+      case Op::kLe:
+        return lhs <= rhs;
+      default:
+        return lhs >= rhs;
+    }
+  }
+
+  static Value add(const Value& lhs, const Value& rhs) {
+    if (lhs.is_string() || rhs.is_string()) {
+      return string_value(lhs.to_string() + rhs.to_string());
+    }
+    return number_value(lhs.to_number() + rhs.to_number());
+  }
+
+  Value evaluate(const Node& node) {
+    tick();
+    switch (node.op) {
+      case Op::kConstant:
+        return node.constant;
+      case Op::kName:
+        return variable(node.name);
+      case Op::kArray: {
         auto array = std::make_shared<Array>();
-        for (const auto& element : expr.operands) {
-          array->push_back(evaluate(*element));
+        for (const Node& element : node.kids) {
+          array->push_back(evaluate(element));
         }
         return Value::make(array);
       }
-      case Expr::Kind::kObject: {
+      case Op::kObject: {
         auto object = std::make_shared<Object>();
-        std::size_t begin = 0;
-        for (const auto& element : expr.operands) {
-          const std::size_t end = expr.text.find('\n', begin);
-          const std::string key = expr.text.substr(
-              begin, end == std::string::npos ? std::string::npos : end - begin);
-          begin = end == std::string::npos ? expr.text.size() : end + 1;
-          (*object)[key] = evaluate(*element);
+        for (std::size_t i = 0; i < node.kids.size(); ++i) {
+          (*object)[node.keys[i]] = evaluate(node.kids[i]);
         }
         return Value::make(object);
       }
-      case Expr::Kind::kUnary: {
-        Value operand = evaluate(*expr.operands[0]);
-        if (expr.text == "!") return Value::make(!operand.truthy());
-        if (expr.text == "typeof") return Value::make(type_name(operand));
-        return Value::make(-operand.to_number());
+      case Op::kNot:
+        return bool_value(!evaluate(node.kids[0]).truthy());
+      case Op::kTypeof:
+        return string_value(type_name(evaluate(node.kids[0])));
+      case Op::kNeg:
+        return number_value(-number_of(node.kids[0]));
+      case Op::kAnd: {
+        Value lhs = evaluate(node.kids[0]);
+        return lhs.truthy() ? evaluate(node.kids[1]) : lhs;
       }
-      case Expr::Kind::kBinary:
-        return binary(expr);
-      case Expr::Kind::kAssign:
-        return assignment(expr);
-      case Expr::Kind::kCall:
-        return call(expr);
-      case Expr::Kind::kMember:
-        return member(expr);
-      case Expr::Kind::kIndex: {
-        Value object = evaluate(*expr.operands[0]);
+      case Op::kOr: {
+        Value lhs = evaluate(node.kids[0]);
+        return lhs.truthy() ? lhs : evaluate(node.kids[1]);
+      }
+      case Op::kAdd: {
+        double number;
+        std::optional<Value> value;
+        return add(node, number, value) ? number_value(number) : std::move(*value);
+      }
+      case Op::kSub:
+      case Op::kMul:
+      case Op::kDiv:
+      case Op::kMod: {
+        const double lhs = number_of(node.kids[0]);
+        const double rhs = number_of(node.kids[1]);
+        return number_value(arithmetic(node.op, lhs, rhs));
+      }
+      case Op::kEq:
+        return bool_value(equals(node));
+      case Op::kNe:
+        return bool_value(!equals(node));
+      case Op::kLt:
+      case Op::kGt:
+      case Op::kLe:
+      case Op::kGe: {
+        const double lhs = number_of(node.kids[0]);
+        const double rhs = number_of(node.kids[1]);
+        return bool_value(compare(node.op, lhs, rhs));
+      }
+      case Op::kUnknownOperator:
+        evaluate(node.kids[0]);
+        evaluate(node.kids[1]);
+        fail("unknown operator '" + node.text + "'");
+      case Op::kAssignName:
+      case Op::kAssignMember:
+      case Op::kAssignIndex:
+        return assignment(node);
+      case Op::kCall:
+        return call(node);
+      case Op::kMember:
+        return member(node);
+      case Op::kIndex: {
+        Value object = evaluate(node.kids[0]);
         if (const auto* obj =
                 std::get_if<std::shared_ptr<Object>>(&object.storage)) {
-          auto it = (*obj)->find(evaluate(*expr.operands[1]).to_string());
+          auto it = (*obj)->find(evaluate(node.kids[1]).to_string());
           return it == (*obj)->end() ? Value::undefined() : it->second;
         }
-        const double index = evaluate(*expr.operands[1]).to_number();
+        const double index = number_of(node.kids[1]);
         if (const auto* arr = std::get_if<std::shared_ptr<Array>>(&object.storage)) {
           const auto at = element_index(index, (*arr)->size());
           return at ? (**arr)[*at] : Value::undefined();
         }
         if (const auto* str = std::get_if<std::string>(&object.storage)) {
           const auto at = element_index(index, str->size());
-          return at ? Value::make(std::string(1, (*str)[*at])) : Value::undefined();
+          return at ? string_value(std::string(1, (*str)[*at])) : Value::undefined();
         }
         fail("cannot index non-array value");
       }
+      default:
+        fail("unreachable expression kind");
     }
-    fail("unreachable expression kind");
   }
 
-  static std::string type_name(const Value& value) {
-    if (std::holds_alternative<std::monostate>(value.storage)) return "undefined";
-    if (std::holds_alternative<std::nullptr_t>(value.storage)) return "object";
-    if (std::holds_alternative<bool>(value.storage)) return "boolean";
-    if (std::holds_alternative<double>(value.storage)) return "number";
-    if (std::holds_alternative<std::string>(value.storage)) return "string";
-    if (std::holds_alternative<const Stmt*>(value.storage)) return "function";
-    return "object";
-  }
-
-  Value identifier(const std::string& name) {
-    if (name == "document") return Value::make(HostObject::kDocument);
-    if (name == "Math") return Value::make(HostObject::kMath);
-    if (name == "window") return Value::make(HostObject::kWindow);
-    if (Value* slot = find_variable(name)) return *slot;
-    return Value::undefined();
-  }
-
-  Value binary(const Expr& expr) {
-    const std::string& op = expr.text;
-    if (op == "&&") {
-      Value lhs = evaluate(*expr.operands[0]);
-      return lhs.truthy() ? evaluate(*expr.operands[1]) : lhs;
-    }
-    if (op == "||") {
-      Value lhs = evaluate(*expr.operands[0]);
-      return lhs.truthy() ? lhs : evaluate(*expr.operands[1]);
-    }
-    Value lhs = evaluate(*expr.operands[0]);
-    Value rhs = evaluate(*expr.operands[1]);
-    if (op == "+") {
-      if (lhs.is_string() || rhs.is_string()) {
-        return Value::make(lhs.to_string() + rhs.to_string());
-      }
-      return Value::make(lhs.to_number() + rhs.to_number());
-    }
-    if (op == "-") return Value::make(lhs.to_number() - rhs.to_number());
-    if (op == "*") return Value::make(lhs.to_number() * rhs.to_number());
-    if (op == "/") return Value::make(lhs.to_number() / rhs.to_number());
-    if (op == "%") {
-      return Value::make(std::fmod(lhs.to_number(), rhs.to_number()));
-    }
-    if (op == "==" || op == "!=") {
-      bool equal;
-      if (lhs.is_number() && rhs.is_number()) {
-        equal = lhs.to_number() == rhs.to_number();
-      } else {
-        equal = lhs.to_string() == rhs.to_string();
-      }
-      return Value::make(op == "==" ? equal : !equal);
-    }
-    const double a = lhs.to_number();
-    const double b = rhs.to_number();
-    if (op == "<") return Value::make(a < b);
-    if (op == ">") return Value::make(a > b);
-    if (op == "<=") return Value::make(a <= b);
-    if (op == ">=") return Value::make(a >= b);
-    fail("unknown operator '" + op + "'");
-  }
-
-  Value assignment(const Expr& expr) {
-    const Expr& target = *expr.operands[0];
-    Value value = evaluate(*expr.operands[1]);
-    if (expr.text != "=") {
+  Value assignment(const Node& node) {
+    const Node& target = node.kids[0];
+    Value value = evaluate(node.kids[1]);
+    if (node.compound != Compound::kNone) {
       // Compound assignment: compute current (op) value.
-      Value current = evaluate(target);
-      const char op = expr.text[0];
-      if (op == '+') {
-        if (current.is_string() || value.is_string()) {
-          value = Value::make(current.to_string() + value.to_string());
-        } else {
-          value = Value::make(current.to_number() + value.to_number());
-        }
-      } else if (op == '-') {
-        value = Value::make(current.to_number() - value.to_number());
-      } else if (op == '*') {
-        value = Value::make(current.to_number() * value.to_number());
-      } else {
-        value = Value::make(current.to_number() / value.to_number());
+      const Value current = evaluate(target);
+      switch (node.compound) {
+        case Compound::kAdd:
+          value = add(current, value);
+          break;
+        case Compound::kSub:
+          value = number_value(current.to_number() - value.to_number());
+          break;
+        case Compound::kMul:
+          value = number_value(current.to_number() * value.to_number());
+          break;
+        default:
+          value = number_value(current.to_number() / value.to_number());
+          break;
       }
     }
-    if (target.kind == Expr::Kind::kIdentifier) {
-      assign(target.text, value);
+    if (node.op == Op::kAssignName) {
+      variable(node.name) = value;
       return value;
     }
-    if (target.kind == Expr::Kind::kMember) {
+    if (node.op == Op::kAssignMember) {
       // obj.key = v.
-      Value object = evaluate(*target.operands[0]);
+      Value object = evaluate(target.kids[0]);
       if (auto* obj = std::get_if<std::shared_ptr<Object>>(&object.storage)) {
         (**obj)[target.text] = value;
         return value;
@@ -369,12 +587,12 @@ class Evaluator {
       fail("cannot set property on non-object value");
     }
     // Index assignment: arr[i] = v or obj['key'] = v.
-    Value object = evaluate(*target.operands[0]);
+    Value object = evaluate(target.kids[0]);
     if (auto* obj = std::get_if<std::shared_ptr<Object>>(&object.storage)) {
-      (**obj)[evaluate(*target.operands[1]).to_string()] = value;
+      (**obj)[evaluate(target.kids[1]).to_string()] = value;
       return value;
     }
-    const double index = evaluate(*target.operands[1]).to_number();
+    const double index = number_of(target.kids[1]);
     if (auto* arr = std::get_if<std::shared_ptr<Array>>(&object.storage)) {
       const auto size = static_cast<double>((*arr)->size());
       if (!(index >= 0) || index != std::floor(index) ||
@@ -389,23 +607,23 @@ class Evaluator {
     fail("cannot index-assign non-array value");
   }
 
-  Value member(const Expr& expr) {
-    Value object = evaluate(*expr.operands[0]);
+  Value member(const Node& node) {
+    Value object = evaluate(node.kids[0]);
     if (const auto* obj = std::get_if<std::shared_ptr<Object>>(&object.storage)) {
-      auto it = (*obj)->find(expr.text);
+      auto it = (*obj)->find(node.text);
       return it == (*obj)->end() ? Value::undefined() : it->second;
     }
-    if (expr.text == "length") {
+    if (node.method == Method::kLength) {
       if (const auto* str = std::get_if<std::string>(&object.storage)) {
-        return Value::make(static_cast<double>(str->size()));
+        return number_value(static_cast<double>(str->size()));
       }
       if (const auto* arr = std::get_if<std::shared_ptr<Array>>(&object.storage)) {
-        return Value::make(static_cast<double>((*arr)->size()));
+        return number_value(static_cast<double>((*arr)->size()));
       }
     }
     if (const auto* host = std::get_if<HostObject>(&object.storage)) {
-      if (*host == HostObject::kMath) {
-        if (expr.text == "PI") return Value::make(3.141592653589793);
+      if (*host == HostObject::kMath && node.method == Method::kPi) {
+        return number_value(3.141592653589793);
       }
       // Other host members only make sense as call targets.
       return Value::undefined();
@@ -413,58 +631,58 @@ class Evaluator {
     return Value::undefined();
   }
 
-  Value call(const Expr& expr) {
-    const Expr& callee = *expr.operands[0];
+  Value call(const Node& node) {
+    const Node& callee = node.kids[0];
     std::vector<Value> args;
-    args.reserve(expr.operands.size() - 1);
-    for (std::size_t i = 1; i < expr.operands.size(); ++i) {
-      args.push_back(evaluate(*expr.operands[i]));
+    args.reserve(node.kids.size() - 1);
+    for (std::size_t i = 1; i < node.kids.size(); ++i) {
+      args.push_back(evaluate(node.kids[i]));
     }
 
-    // Host-object method calls: document.write, Math.floor, ...
-    if (callee.kind == Expr::Kind::kMember) {
-      Value object = evaluate(*callee.operands[0]);
+    if (callee.op == Op::kMember) {
+      // Host-object method calls: document.write, Math.floor, ...
+      Value object = evaluate(callee.kids[0]);
       if (const auto* host = std::get_if<HostObject>(&object.storage)) {
-        return host_call(*host, callee.text, args);
+        return host_call(*host, node.method, callee.text, args);
       }
-    }
-    // Global builtins and script functions.
-    if (callee.kind == Expr::Kind::kIdentifier) {
-      if (Value builtin_result; builtin(callee.text, args, builtin_result)) {
-        return builtin_result;
-      }
+    } else if (node.method != Method::kNone) {
+      // Global builtins win over script functions of the same name.
+      return builtin(node.method, args);
     }
     Value target = evaluate(callee);
-    if (const auto* fn = std::get_if<const Stmt*>(&target.storage)) {
+    if (const auto* fn = std::get_if<const Function*>(&target.storage)) {
       return invoke(**fn, args);
     }
     fail("call of non-function value");
   }
 
-  Value invoke(const Stmt& fn, const std::vector<Value>& args) {
-    if (locals_.size() > 64) fail("call stack overflow");
-    Scope scope;
+  Value invoke(const Function& fn, const std::vector<Value>& args) {
+    if (depth_ > 64) fail("call stack overflow");
+    // Frames are reused across calls, so a call allocates nothing once the
+    // stack has been this deep before.
+    if (depth_ == frames_.size()) frames_.emplace_back();
+    Frame& frame = frames_[depth_];
     for (std::size_t i = 0; i < fn.params.size(); ++i) {
-      scope[fn.params[i]] = i < args.size() ? args[i] : Value::undefined();
+      set_local(frame, fn.params[i], i < args.size() ? args[i] : Value::undefined());
     }
-    locals_.push_back(std::move(scope));
-    Value result = Value::undefined();
-    try {
-      execute(*fn.stmts[0]);
-    } catch (ReturnSignal& signal) {
-      result = std::move(signal.value);
-    } catch (BreakSignal&) {
-      locals_.pop_back();
-      fail("break outside loop");
-    } catch (ContinueSignal&) {
-      locals_.pop_back();
-      fail("continue outside loop");
+    ++depth_;
+    const Completion done = execute(fn.body);
+    --depth_;
+    frames_[depth_].clear();
+    switch (done) {
+      case Completion::kReturn:
+        return std::move(return_value_);
+      case Completion::kBreak:
+        fail("break outside loop");
+      case Completion::kContinue:
+        fail("continue outside loop");
+      case Completion::kNormal:
+        break;
     }
-    locals_.pop_back();
-    return result;
+    return Value::undefined();
   }
 
-  Value host_call(HostObject host, const std::string& method,
+  Value host_call(HostObject host, Method method, const std::string& name,
                   const std::vector<Value>& args) {
     auto arg_number = [&](std::size_t i) {
       return i < args.size() ? args[i].to_number() : 0.0;
@@ -474,139 +692,140 @@ class Evaluator {
     };
     switch (host) {
       case HostObject::kDocument:
-        if (method == "write" || method == "writeln") {
+        if (method == Method::kWrite || method == Method::kWriteln) {
           host_.document_write(arg_string(0));
           return Value::undefined();
         }
         break;
       case HostObject::kMath:
-        if (method == "floor") return Value::make(std::floor(arg_number(0)));
-        if (method == "ceil") return Value::make(std::ceil(arg_number(0)));
-        if (method == "abs") return Value::make(std::abs(arg_number(0)));
-        if (method == "sqrt") return Value::make(std::sqrt(arg_number(0)));
-        if (method == "max") return Value::make(std::max(arg_number(0), arg_number(1)));
-        if (method == "min") return Value::make(std::min(arg_number(0), arg_number(1)));
-        if (method == "random") return Value::make(host_.random());
+        switch (method) {
+          case Method::kFloor:
+            return number_value(std::floor(arg_number(0)));
+          case Method::kCeil:
+            return number_value(std::ceil(arg_number(0)));
+          case Method::kAbs:
+            return number_value(std::abs(arg_number(0)));
+          case Method::kSqrt:
+            return number_value(std::sqrt(arg_number(0)));
+          case Method::kMax:
+            return number_value(std::max(arg_number(0), arg_number(1)));
+          case Method::kMin:
+            return number_value(std::min(arg_number(0), arg_number(1)));
+          case Method::kRandom:
+            return number_value(host_.random());
+          default:
+            break;
+        }
         break;
       case HostObject::kWindow:
         // window.loadImage(...) etc. route to the same global builtins.
-        if (Value result; builtin(method, args, result)) return result;
+        if (method >= Method::kLoadImage && method <= Method::kPush) {
+          return builtin(method, args);
+        }
         break;
     }
-    fail("unknown host method '" + method + "'");
+    fail("unknown host method '" + name + "'");
   }
 
-  /// Global builtin dispatch; returns false when `name` is not a builtin.
-  bool builtin(const std::string& name, const std::vector<Value>& args,
-               Value& result) {
+  Value request(const std::vector<Value>& args, net::ResourceKind kind) {
+    host_.request_resource(args.empty() ? std::string() : args[0].to_string(),
+                           kind);
+    return Value::undefined();
+  }
+
+  /// A global builtin; `method` is one of kLoadImage ... kPush.
+  Value builtin(Method method, const std::vector<Value>& args) {
     auto arg_string = [&](std::size_t i) {
       return i < args.size() ? args[i].to_string() : std::string();
     };
-    if (name == "loadImage") {
-      host_.request_resource(arg_string(0), net::ResourceKind::kImage);
-      result = Value::undefined();
-      return true;
-    }
-    if (name == "loadScript") {
-      host_.request_resource(arg_string(0), net::ResourceKind::kJs);
-      result = Value::undefined();
-      return true;
-    }
-    if (name == "loadCss") {
-      host_.request_resource(arg_string(0), net::ResourceKind::kCss);
-      result = Value::undefined();
-      return true;
-    }
-    if (name == "fetchData") {
-      host_.request_resource(arg_string(0), net::ResourceKind::kOther);
-      result = Value::undefined();
-      return true;
-    }
-    if (name == "indexOf") {
-      const std::string haystack = arg_string(0);
-      const std::string needle = arg_string(1);
-      const auto pos = haystack.find(needle);
-      result = Value::make(pos == std::string::npos ? -1.0
-                                                    : static_cast<double>(pos));
-      return true;
-    }
-    if (name == "substring") {
-      const std::string text = arg_string(0);
-      const auto size = static_cast<double>(text.size());
-      // Both ends clamp into [0, size]; a NaN start reads as 0, a NaN end
-      // as size.
-      const auto from = static_cast<std::size_t>(std::min(
-          size, std::max(0.0, args.size() > 1 ? args[1].to_number() : 0.0)));
-      const auto until = static_cast<std::size_t>(std::max(
-          0.0, std::min(size, args.size() > 2 ? args[2].to_number() : size)));
-      result = Value::make(from >= until ? std::string()
-                                         : text.substr(from, until - from));
-      return true;
-    }
-    if (name == "charAt") {
-      const std::string text = arg_string(0);
-      const auto at =
-          element_index(args.size() > 1 ? args[1].to_number() : 0.0, text.size());
-      result = Value::make(at ? std::string(1, text[*at]) : std::string());
-      return true;
-    }
-    if (name == "split") {
-      const std::string text = arg_string(0);
-      const std::string separator = arg_string(1);
-      auto array = std::make_shared<Array>();
-      if (separator.empty()) {
-        for (char c : text) array->push_back(Value::make(std::string(1, c)));
-      } else {
-        std::size_t start = 0;
-        for (;;) {
-          const std::size_t pos = text.find(separator, start);
-          array->push_back(Value::make(
-              text.substr(start, pos == std::string::npos ? std::string::npos
-                                                          : pos - start)));
-          if (pos == std::string::npos) break;
-          start = pos + separator.size();
-        }
+    switch (method) {
+      case Method::kLoadImage:
+        return request(args, net::ResourceKind::kImage);
+      case Method::kLoadScript:
+        return request(args, net::ResourceKind::kJs);
+      case Method::kLoadCss:
+        return request(args, net::ResourceKind::kCss);
+      case Method::kFetchData:
+        return request(args, net::ResourceKind::kOther);
+      case Method::kIndexOf: {
+        const std::string haystack = arg_string(0);
+        const std::string needle = arg_string(1);
+        const auto pos = haystack.find(needle);
+        return number_value(pos == std::string::npos ? -1.0
+                                                     : static_cast<double>(pos));
       }
-      result = Value::make(array);
-      return true;
-    }
-    if (name == "str") {
-      result = Value::make(arg_string(0));
-      return true;
-    }
-    if (name == "len") {
-      if (!args.empty()) {
-        if (const auto* arr =
-                std::get_if<std::shared_ptr<Array>>(&args[0].storage)) {
-          result = Value::make(static_cast<double>((*arr)->size()));
-          return true;
-        }
+      case Method::kSubstring: {
+        const std::string text = arg_string(0);
+        const auto size = static_cast<double>(text.size());
+        // Both ends clamp into [0, size]; a NaN start reads as 0, a NaN end
+        // as size.
+        const auto from = static_cast<std::size_t>(std::min(
+            size, std::max(0.0, args.size() > 1 ? args[1].to_number() : 0.0)));
+        const auto until = static_cast<std::size_t>(std::max(
+            0.0, std::min(size, args.size() > 2 ? args[2].to_number() : size)));
+        return string_value(from >= until ? std::string()
+                                          : text.substr(from, until - from));
       }
-      result = Value::make(static_cast<double>(arg_string(0).size()));
-      return true;
-    }
-    if (name == "push") {
-      if (args.size() >= 2) {
-        if (const auto* arr =
-                std::get_if<std::shared_ptr<Array>>(&args[0].storage)) {
-          (*arr)->push_back(args[1]);
-          result = Value::make(static_cast<double>((*arr)->size()));
-          return true;
-        }
+      case Method::kCharAt: {
+        const std::string text = arg_string(0);
+        const auto at =
+            element_index(args.size() > 1 ? args[1].to_number() : 0.0, text.size());
+        return string_value(at ? std::string(1, text[*at]) : std::string());
       }
-      fail("push() expects (array, value)");
+      case Method::kSplit: {
+        const std::string text = arg_string(0);
+        const std::string separator = arg_string(1);
+        auto array = std::make_shared<Array>();
+        if (separator.empty()) {
+          for (char c : text) array->push_back(string_value(std::string(1, c)));
+        } else {
+          std::size_t start = 0;
+          for (;;) {
+            const std::size_t pos = text.find(separator, start);
+            array->push_back(string_value(
+                text.substr(start, pos == std::string::npos ? std::string::npos
+                                                            : pos - start)));
+            if (pos == std::string::npos) break;
+            start = pos + separator.size();
+          }
+        }
+        return Value::make(array);
+      }
+      case Method::kStr:
+        return string_value(arg_string(0));
+      case Method::kLen:
+        if (!args.empty()) {
+          if (const auto* arr =
+                  std::get_if<std::shared_ptr<Array>>(&args[0].storage)) {
+            return number_value(static_cast<double>((*arr)->size()));
+          }
+        }
+        return number_value(static_cast<double>(arg_string(0).size()));
+      case Method::kPush:
+        if (args.size() >= 2) {
+          if (const auto* arr =
+                  std::get_if<std::shared_ptr<Array>>(&args[0].storage)) {
+            (*arr)->push_back(args[1]);
+            return number_value(static_cast<double>((*arr)->size()));
+          }
+        }
+        fail("push() expects (array, value)");
+      default:
+        fail("unreachable builtin");
     }
-    return false;
   }
 
-  std::unordered_map<std::string, Value>& globals_;
+  std::vector<Value>& globals_;
   JsHost& host_;
   std::uint64_t budget_;
   std::uint64_t ops_ = 0;
-  std::vector<Scope> locals_;
+  std::vector<Frame> frames_;  ///< frames_[0, depth_) are live
+  std::size_t depth_ = 0;
+  Value return_value_;  ///< the value a kReturn completion carries
 };
 
 }  // namespace
+
 
 // --- script-outcome memo ------------------------------------------------------
 //
@@ -884,8 +1103,10 @@ RunResult Interpreter::evaluate(std::string_view source, JsHost& host) {
   RunResult result;
   Evaluator evaluator(globals_, host, op_budget_);
   try {
-    auto program = std::make_shared<Program>(parse(source));
-    retained_programs_.push_back(program);  // keep function ASTs alive
+    auto program = std::make_shared<const ResolvedProgram>(
+        resolve(parse(source), name_ids_));
+    globals_.resize(name_ids_.size());
+    if (program->declares_functions) retained_programs_.push_back(program);
     evaluator.run(*program);
     result.completed = true;
   } catch (const JsError& error) {
@@ -905,8 +1126,10 @@ void Interpreter::catch_up() {
 
 Value Interpreter::global(const std::string& name) {
   catch_up();
-  auto it = globals_.find(name);
-  return it == globals_.end() ? Value::undefined() : it->second;
+  auto it = name_ids_.find(name);
+  return it == name_ids_.end() || it->second >= globals_.size()
+             ? Value::undefined()
+             : globals_[it->second];
 }
 
 }  // namespace eab::web::js

@@ -206,11 +206,7 @@ class Parser {
     ExprPtr lhs = logical_or();
     for (std::string_view op : {"=", "+=", "-=", "*=", "/="}) {
       if (check_punct(op)) {
-        if (lhs->kind != Expr::Kind::kIdentifier &&
-            lhs->kind != Expr::Kind::kIndex &&
-            lhs->kind != Expr::Kind::kMember) {
-          error("invalid assignment target");
-        }
+        expect_assignable(*lhs);
         advance();
         auto node = std::make_unique<Expr>();
         node->kind = Expr::Kind::kAssign;
@@ -285,7 +281,18 @@ class Parser {
     return postfix();
   }
 
+  /// Only a name, an index or a member can be assigned; the evaluator
+  /// relies on it.
+  void expect_assignable(const Expr& target) const {
+    if (target.kind != Expr::Kind::kIdentifier &&
+        target.kind != Expr::Kind::kIndex &&
+        target.kind != Expr::Kind::kMember) {
+      error("invalid assignment target");
+    }
+  }
+
   ExprPtr make_increment(ExprPtr target, std::string_view op) {
+    expect_assignable(*target);
     auto one = std::make_unique<Expr>();
     one->kind = Expr::Kind::kNumber;
     one->number = 1;

@@ -2,7 +2,9 @@
 //
 // web_robustness_test feeds these to the HTML/CSS/JS front ends and asserts
 // they never crash; web_js_memo_test replays the same JavaScript soups with
-// the script-outcome memo cold and warm and asserts identical outcomes.
+// the script-outcome memo cold and warm, and web_js_resolve_test through the
+// resolved evaluator and the reference AST walker, and both assert
+// identical outcomes.
 #pragma once
 
 #include <cstdint>

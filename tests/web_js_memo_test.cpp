@@ -9,131 +9,31 @@
 // run_single's full result digest.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/batch.hpp"
 #include "core/scenario.hpp"
-#include "corpus/generator.hpp"
-#include "corpus/page_spec.hpp"
-#include "net/web_server.hpp"
 #include "support/fuzz_inputs.hpp"
+#include "support/js_chain.hpp"
 #include "support/result_digest.hpp"
 #include "util/rng.hpp"
-#include "web/html_parser.hpp"
 #include "web/js.hpp"
 
 namespace eab::web::js {
 namespace {
 
 using browser::PipelineMode;
+using test::ChainRecord;
+using test::page_scripts;
+using test::run_chain;
+using test::table3_pages;
 
 constexpr std::uint64_t kDefaultBudget = 50'000'000;
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
-
-/// Logs every host call in order and draws Math.random() from a seeded RNG.
-class LoggingHost : public JsHost {
- public:
-  explicit LoggingHost(std::uint64_t seed) : rng_(seed) {}
-
-  void document_write(const std::string& html) override {
-    log_.push_back("write " + html);
-  }
-  void request_resource(const std::string& url,
-                        net::ResourceKind kind) override {
-    log_.push_back("request " + std::to_string(static_cast<int>(kind)) + " " +
-                   url);
-  }
-  double random() override { return rng_.uniform(); }
-
-  std::vector<std::string> take_log() { return std::move(log_); }
-
- private:
-  Rng rng_;
-  std::vector<std::string> log_;
-};
-
-/// A value rendered exactly: numbers by bit pattern, arrays and objects by
-/// their contents, functions by name (their AST addresses differ between
-/// interpreters).  Depth-limited, since an array may contain itself.
-std::string render(const Value& value, int depth = 0) {
-  if (depth > 8) return "...";
-  const Value::Storage& s = value.storage;
-  if (const double* d = std::get_if<double>(&s)) {
-    return "d" + std::to_string(std::bit_cast<std::uint64_t>(*d));
-  }
-  if (const std::string* str = std::get_if<std::string>(&s)) return "s'" + *str + "'";
-  if (const auto* arr = std::get_if<std::shared_ptr<Array>>(&s)) {
-    std::string out = "[";
-    for (const Value& element : **arr) out += render(element, depth + 1) + ",";
-    return out + "]";
-  }
-  if (const auto* obj = std::get_if<std::shared_ptr<Object>>(&s)) {
-    std::string out = "{";
-    for (const auto& [key, element] : **obj) {
-      out += key + ":" + render(element, depth + 1) + ",";
-    }
-    return out + "}";
-  }
-  if (const auto* fn = std::get_if<const Stmt*>(&s)) return "f " + (*fn)->text;
-  if (const auto* host = std::get_if<HostObject>(&s)) {
-    return "h" + std::to_string(static_cast<int>(*host));
-  }
-  return value.to_string();  // undefined, null, booleans
-}
-
-struct ScriptRecord {
-  std::uint64_t ops = 0;
-  bool completed = false;
-  std::string error;
-  std::vector<std::string> host_calls;
-  bool operator==(const ScriptRecord&) const = default;
-};
-
-struct ChainRecord {
-  std::vector<ScriptRecord> scripts;
-  std::uint64_t total_ops = 0;
-  std::vector<std::string> globals;  ///< "name=value" for every identifier
-  bool operator==(const ChainRecord&) const = default;
-};
-
-/// Every name a chain's scripts mention.  Any global a chain sets is among
-/// them; a source that does not even lex sets none.
-std::set<std::string> identifiers(const std::vector<std::string>& chain) {
-  std::set<std::string> names;
-  for (const std::string& source : chain) {
-    try {
-      for (const Token& token : tokenize(source)) {
-        if (token.type == TokenType::kIdentifier) names.insert(token.text);
-      }
-    } catch (const JsError&) {
-    }
-  }
-  return names;
-}
-
-/// Runs a chain of scripts in one interpreter, as one page would.
-ChainRecord run_chain(const std::vector<std::string>& chain,
-                      std::uint64_t budget, std::uint64_t seed) {
-  LoggingHost host(seed);
-  Interpreter interpreter(host, budget);
-  ChainRecord record;
-  for (const std::string& source : chain) {
-    const RunResult result = interpreter.run(source);
-    record.scripts.push_back(
-        {result.ops, result.completed, result.error, host.take_log()});
-  }
-  record.total_ops = interpreter.total_ops();
-  for (const std::string& name : identifiers(chain)) {
-    record.globals.push_back(name + "=" + render(interpreter.global(name)));
-  }
-  return record;
-}
 
 /// Runs `run` cold, then twice warm, and checks the three agree and that
 /// the third run replayed stored outcomes.
@@ -149,31 +49,6 @@ void expect_memo_transparent(const std::function<Record()>& run,
   EXPECT_GT(script_memo_stats().hits, hits_before) << label;
   EXPECT_TRUE(cold == admitting) << label;
   EXPECT_TRUE(cold == replayed) << label;
-}
-
-std::vector<corpus::PageSpec> table3_pages() {
-  std::vector<corpus::PageSpec> pages = corpus::mobile_benchmark();
-  for (corpus::PageSpec& spec : corpus::full_benchmark()) {
-    pages.push_back(std::move(spec));
-  }
-  return pages;
-}
-
-/// A corpus page's scripts: its inline scripts, then its external ones, in
-/// document order.
-std::vector<std::string> page_scripts(const corpus::PageSpec& spec,
-                                      std::uint64_t seed) {
-  net::WebServer server;
-  const std::string url = corpus::PageGenerator(seed).host_page(spec, server);
-  const ParsedHtml page = parse_html(server.find(url)->body);
-  std::vector<std::string> chain = page.inline_scripts;
-  for (const ResourceRef& ref : page.references) {
-    if (ref.kind != net::ResourceKind::kJs) continue;
-    if (const net::Resource* script = server.find(ref.url)) {
-      chain.push_back(script->body);
-    }
-  }
-  return chain;
 }
 
 std::uint64_t load_digest(const corpus::PageSpec& spec, PipelineMode mode,

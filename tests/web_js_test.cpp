@@ -91,6 +91,17 @@ TEST(JsParser, AcceptsRepresentativePrograms) {
   EXPECT_NO_THROW(parse("for (;;) { break_me = 1; }"));
 }
 
+TEST(JsParser, IncrementNeedsAnAssignableTarget) {
+  // ++ and -- desugar to += and -=, so they take the same targets as an
+  // assignment.  Any other operand used to reach the evaluator, which read
+  // past the end of the operand's children and crashed.
+  for (const char* source :
+       {"++5;", "var x = --undefined;", "f()++;", "(a + b)--;", "++'s';"}) {
+    EXPECT_THROW(parse(source), JsError) << source;
+  }
+  EXPECT_NO_THROW(parse("x++; ++a[0]; --o.k; o.k--;"));
+}
+
 // --- interpreter ----------------------------------------------------------
 
 TEST_F(JsFixture, ArithmeticAndPrecedence) {
@@ -226,6 +237,14 @@ TEST_F(JsFixture, RuntimeErrorsReportedNotThrown) {
   EXPECT_FALSE(r2.completed);
   const RunResult r3 = interp.run("return 5;");
   EXPECT_FALSE(r3.completed);
+}
+
+TEST_F(JsFixture, IncrementOfALiteralIsASyntaxError) {
+  const RunResult result = interp.run("var x = --undefined;");
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.ops, 0u);
+  EXPECT_NE(result.error.find("invalid assignment target"), std::string::npos)
+      << result.error;
 }
 
 TEST_F(JsFixture, SyntaxErrorReportedNotThrown) {
@@ -468,6 +487,84 @@ TEST_F(JsFixture, InRangeIndexingKeepsItsOpCount) {
   EXPECT_TRUE(result.completed) << result.error;
   EXPECT_EQ(result.ops, 39u);
   EXPECT_EQ(interp.global("s").to_string(), "cbcy");
+}
+
+// --- semantics a resolve pass could break ------------------------------------
+//
+// Each case pins its op count: the resolved evaluator must tick exactly as
+// the AST walker it replaced did.
+
+TEST_F(JsFixture, CalleeSeesAndAssignsItsCallersLocals) {
+  // Scoping is dynamic: inner() runs in outer()'s frame, not the globals.
+  const RunResult result = interp.run(
+      "var x = 1; var seen = 0;"
+      "function inner() { seen = x; x = x + 1; }"
+      "function outer() { var x = 10; inner(); return x; }"
+      "var r = outer();");
+  EXPECT_TRUE(result.completed) << result.error;
+  EXPECT_EQ(result.ops, 26u);
+  EXPECT_DOUBLE_EQ(interp.global("r").to_number(), 11);
+  EXPECT_DOUBLE_EQ(interp.global("seen").to_number(), 10);
+  EXPECT_DOUBLE_EQ(interp.global("x").to_number(), 1);
+}
+
+TEST_F(JsFixture, VarInANestedBlockLandsInTheFunctionsFrame) {
+  const RunResult result = interp.run(
+      "function f() { if (true) { var hidden = 5; } { var deeper = 6; }"
+      " return hidden + deeper; }"
+      "var r = f();");
+  EXPECT_TRUE(result.completed) << result.error;
+  EXPECT_EQ(result.ops, 17u);
+  EXPECT_DOUBLE_EQ(interp.global("r").to_number(), 11);
+  EXPECT_TRUE(interp.global("hidden").is_undefined());
+  EXPECT_TRUE(interp.global("deeper").is_undefined());
+}
+
+TEST_F(JsFixture, HostNamesBeatVariables) {
+  const RunResult math = interp.run("var Math = 5; var r = Math.floor(2.7);");
+  EXPECT_TRUE(math.completed) << math.error;
+  EXPECT_EQ(math.ops, 6u);
+  EXPECT_DOUBLE_EQ(interp.global("r").to_number(), 2);
+  // The variable is still stored; only reads of the name see the host.
+  EXPECT_DOUBLE_EQ(interp.global("Math").to_number(), 5);
+
+  const RunResult doc = interp.run("document = 3; document.write(\"x\");");
+  EXPECT_TRUE(doc.completed) << doc.error;
+  EXPECT_EQ(doc.ops, 7u);
+  ASSERT_EQ(host.writes.size(), 1u);
+  EXPECT_EQ(host.writes[0], "x");
+  EXPECT_DOUBLE_EQ(interp.global("document").to_number(), 3);
+}
+
+TEST_F(JsFixture, BuiltinsBeatScriptFunctions) {
+  const RunResult result = interp.run(
+      "function len(s) { return 99; } var r = len(\"ab\");");
+  EXPECT_TRUE(result.completed) << result.error;
+  EXPECT_EQ(result.ops, 4u);
+  EXPECT_DOUBLE_EQ(interp.global("r").to_number(), 2);
+}
+
+TEST_F(JsFixture, UndefinedLiteral) {
+  const RunResult result = interp.run(
+      "var u = undefined; var t = typeof u; var same = u == undefined;"
+      "var n = null; var differs = n == undefined;");
+  EXPECT_TRUE(result.completed) << result.error;
+  EXPECT_EQ(result.ops, 15u);
+  EXPECT_TRUE(interp.global("u").is_undefined());
+  EXPECT_EQ(interp.global("t").to_string(), "undefined");
+  EXPECT_TRUE(interp.global("same").truthy());
+  EXPECT_FALSE(interp.global("differs").truthy());
+}
+
+TEST(JsInterpreter, CallStackOverflowAtSixtyFiveFrames) {
+  RecordingHost host;
+  Interpreter interp(host);
+  const RunResult result =
+      interp.run("var depth = 0; function g() { depth = depth + 1; g(); } g();");
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.error, "call stack overflow");
+  EXPECT_EQ(result.ops, 591u);
+  EXPECT_DOUBLE_EQ(interp.global("depth").to_number(), 65);
 }
 
 }  // namespace
