@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus sanitizer passes (TSan on the batch engine and
-# the shared script-outcome memo, ASan on fault/cell paths, UBSan on the
-# event engine and MiniScript) and a throughput gate against
-# scripts/perf_baseline.json.
+# the shared script-outcome memo, ASan on fault/cell paths and the HTML/CSS
+# front end, UBSan on the event engine, MiniScript and the HTML/CSS front
+# end) and a throughput gate against scripts/perf_baseline.json.
 #
 #   scripts/check.sh            # full check
 #   JOBS=8 scripts/check.sh     # pin build/test parallelism
@@ -39,6 +39,19 @@ if [ "$registered" != "$documented" ]; then
 fi
 echo "$(echo "$registered" | wc -l) knobs registered and documented"
 
+# Runs web_parse_oracle_test from the build directory $1.  Its truncated-
+# prefix shards are the slow part under a sanitizer (about 80 s each under
+# ASan), so they run side by side with the rest of the suite.
+run_parse_oracle() {
+  local bin="$1/tests/web_parse_oracle_test" pids=() pid shard
+  for shard in 0 1 2 3; do
+    "$bin" --gtest_filter="Shards/PrefixOracle.*/$shard" &
+    pids+=("$!")
+  done
+  "$bin" --gtest_filter='-Shards/PrefixOracle.*'
+  for pid in "${pids[@]}"; do wait "$pid"; done
+}
+
 echo "== TSan: core_batch_test under -fsanitize=thread =="
 cmake -B build-tsan -S . -DEAB_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target core_batch_test \
@@ -57,10 +70,14 @@ echo "== ASan: fault-path tests under -fsanitize=address =="
 cmake -B build-asan -S . -DEAB_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
   --target net_fault_test --target net_http_test --target web_robustness_test \
-  --target web_js_resolve_test
+  --target web_js_resolve_test --target web_parse_oracle_test
 ./build-asan/tests/net_fault_test
 ./build-asan/tests/net_http_test
 ./build-asan/tests/web_robustness_test
+# The HTML tokenizer and CSS parser hand out slices of the resource body
+# they parse; the parse oracle's truncated prefixes, soups and edge cases
+# make a slice that outlives or overruns its body an ASan report here.
+run_parse_oracle build-asan
 # MiniScript function values point into the resolved program that declared
 # them; the resolve oracle's chains call functions declared by earlier
 # scripts, so a program freed too early is a use-after-free here.
@@ -264,7 +281,7 @@ cp build/bench/BENCH_cell.timeseries.json "$soak/ref_cell.timeseries.json"
 cmp "$soak/ref_cell.timeseries.json" build/bench/BENCH_cell.timeseries.json
 echo "telemetry series byte-identical across serial/supervised"
 
-echo "== UBSan: event-engine and MiniScript tests under -fsanitize=undefined =="
+echo "== UBSan: event-engine, MiniScript and HTML/CSS tests under -fsanitize=undefined =="
 # The pooled event engine type-erases callables into recycled slot storage
 # (placement new, raw vtable calls, power-of-two size-class blocks); UBSan
 # guards the alignment/lifetime contracts, driven hardest by the
@@ -272,15 +289,18 @@ echo "== UBSan: event-engine and MiniScript tests under -fsanitize=undefined =="
 # turns script doubles into indexes and remainders; float-cast-overflow
 # (named explicitly in CMakeLists.txt) catches any that reach a cast out of
 # range, over the fuzz soups, random programs and the memo and resolve
-# oracles' corpus, truncated and budget chains.
+# oracles' corpus, truncated and budget chains.  The HTML/CSS front end
+# computes slice offsets and lengths from terminator searches; the parse
+# oracle drives them over corpus pages, truncated prefixes and soups.
 cmake -B build-ubsan -S . -DEAB_SANITIZE=undefined
 cmake --build build-ubsan -j "$JOBS" \
   --target sim_simulator_test --target sim_differential_test \
   --target web_js_test --target web_robustness_test --target web_js_memo_test \
-  --target web_js_resolve_test
+  --target web_js_resolve_test --target web_parse_oracle_test
 ./build-ubsan/tests/sim_simulator_test
 ./build-ubsan/tests/sim_differential_test
 ./build-ubsan/tests/web_js_test
+run_parse_oracle build-ubsan
 ./build-ubsan/tests/web_js_resolve_test
 ./build-ubsan/tests/web_robustness_test
 ./build-ubsan/tests/web_js_memo_test

@@ -1,13 +1,16 @@
 #include "corpus/generator.hpp"
 
-#include <functional>
+#include <algorithm>
+#include <charconv>
+#include <iterator>
+#include <string_view>
 
 #include "util/rng.hpp"
 
 namespace eab::corpus {
 namespace {
 
-const char* const kWords[] = {
+constexpr std::string_view kWords[] = {
     "score",   "market", "travel",  "report", "update", "season",  "player",
     "stock",   "offer",  "review",  "photo",  "video",  "league",  "deal",
     "city",    "guide",  "match",   "trade",  "price",  "moment",  "story",
@@ -15,132 +18,165 @@ const char* const kWords[] = {
     "final",   "record", "weather", "coach",  "studio", "summer",  "ticket",
     "launch",  "editor", "global",  "mobile", "signal",
 };
-constexpr std::size_t kWordCount = sizeof(kWords) / sizeof(kWords[0]);
+constexpr std::size_t kWordCount = std::size(kWords);
 
-std::string sentence(Rng& rng, int word_count) {
-  std::string out;
+constexpr std::size_t kLongestWord = [] {
+  std::size_t longest = 0;
+  for (const std::string_view word : kWords) longest = std::max(longest, word.size());
+  return longest;
+}();
+
+/// An upper bound on the bytes of a `word_count`-word sentence.
+constexpr std::size_t sentence_bound(int word_count) {
+  return static_cast<std::size_t>(word_count) * (kLongestWord + 1);
+}
+
+std::string_view word(Rng& rng) { return kWords[rng.uniform_index(kWordCount)]; }
+
+/// Appends each part in order: text as is, integers in decimal.
+void append_part(std::string& out, std::string_view text) { out += text; }
+void append_part(std::string& out, int value) {
+  char digits[16];
+  const auto end = std::to_chars(std::begin(digits), std::end(digits), value).ptr;
+  out.append(digits, end);
+}
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (append_part(out, parts), ...);
+}
+
+/// Appends `word_count` random words and a full stop.
+void append_sentence(std::string& out, Rng& rng, int word_count) {
   for (int i = 0; i < word_count; ++i) {
     if (i > 0) out += ' ';
-    out += kWords[rng.uniform_index(kWordCount)];
+    out += word(rng);
   }
   out += '.';
-  return out;
 }
 
-/// Pads `content` to `target` bytes using the given filler maker; leaves the
-/// content untouched if it is already large enough.
-void pad_to(std::string& content, Bytes target,
-            const std::function<std::string()>& filler) {
-  while (content.size() < target) content += filler();
+/// Pads `content` to `target` bytes by appending `fill(content)` until it is
+/// large enough; leaves it untouched if it already is.  Each buffer is
+/// reserved up front to its target plus one filler's upper bound, so padding
+/// never reallocates.
+template <typename Fill>
+void pad_to(std::string& content, Bytes target, Fill fill) {
+  while (content.size() < target) fill(content);
 }
 
-std::string make_inline_script(const PageSpec& spec, Rng& rng) {
+void append_inline_script(std::string& html, const PageSpec& spec, Rng& rng) {
   const int busy = std::max(50, spec.js_busy_iterations / 4);
-  std::string script;
-  script += "var warm = 0;\n";
-  script += "for (var i = 0; i < " + std::to_string(busy) +
-            "; i = i + 1) { warm = warm + i % 5; }\n";
-  script += "document.write(\"<div class='promo'><p>" + sentence(rng, 10) +
-            "</p></div>\");\n";
-  return script;
+  append(html, "var warm = 0;\n", "for (var i = 0; i < ", busy,
+         "; i = i + 1) { warm = warm + i % 5; }\n",
+         "document.write(\"<div class='promo'><p>");
+  append_sentence(html, rng, 10);
+  html += "</p></div>\");\n";
 }
 
-std::string make_js_file(const PageSpec& spec, const std::string& base,
+std::string make_js_file(const PageSpec& spec, std::string_view base,
                          int file_index, Rng& rng) {
   // Era-typical structure: a config object, a busy analytics-ish loop, a
   // dynamic image loader keyed off the config, and a document.write footer.
-  const std::string suffix = std::to_string(file_index);
+  const int n = file_index;
   std::string script;
-  script += "var cfg" + suffix + " = {base: \"" + base + "/img/\", prefix: \"dyn" +
-            suffix + "_\", count: " + std::to_string(spec.js_images) +
-            ", ext: \".jpg\"};\n";
-  script += "var acc" + suffix + " = 0;\n";
-  script += "var i" + suffix + " = 0;\n";
-  script += "while (i" + suffix + " < " + std::to_string(spec.js_busy_iterations) +
-            ") {\n";
-  script += "  acc" + suffix + " = acc" + suffix + " + (i" + suffix +
-            " * 7 + 3) % 11;\n";
-  script += "  i" + suffix + " = i" + suffix + " + 1;\n";
+  script.reserve(spec.js_bytes + 4 + sentence_bound(9));
+  append(script, "var cfg", n, " = {base: \"", base, "/img/\", prefix: \"dyn", n,
+         "_\", count: ", spec.js_images, ", ext: \".jpg\"};\n");
+  append(script, "var acc", n, " = 0;\n");
+  append(script, "var i", n, " = 0;\n");
+  append(script, "while (i", n, " < ", spec.js_busy_iterations, ") {\n");
+  append(script, "  acc", n, " = acc", n, " + (i", n, " * 7 + 3) % 11;\n");
+  append(script, "  i", n, " = i", n, " + 1;\n");
   script += "}\n";
   if (spec.js_images > 0) {
-    script += "if (typeof cfg" + suffix + " == 'object' && indexOf(cfg" + suffix +
-              ".base, '/img/') >= 0) {\n";
-    script += "  for (var j" + suffix + " = 0; j" + suffix + " < cfg" + suffix +
-              ".count; j" + suffix + "++) {\n";
-    script += "    loadImage(cfg" + suffix + ".base + cfg" + suffix +
-              ".prefix + j" + suffix + " + cfg" + suffix + ".ext);\n";
-    script += "  }\n";
-    script += "}\n";
+    append(script, "if (typeof cfg", n, " == 'object' && indexOf(cfg", n,
+           ".base, '/img/') >= 0) {\n");
+    append(script, "  for (var j", n, " = 0; j", n, " < cfg", n, ".count; j", n,
+           "++) {\n");
+    append(script, "    loadImage(cfg", n, ".base + cfg", n, ".prefix + j", n,
+           " + cfg", n, ".ext);\n");
+    script += "  }\n}\n";
   }
-  script += "document.write(\"<div class='dyn'><p>" + sentence(rng, 8) +
-            "</p></div>\");\n";
-  pad_to(script, spec.js_bytes,
-         [&rng] { return "// " + sentence(rng, 9) + "\n"; });
+  script += "document.write(\"<div class='dyn'><p>";
+  append_sentence(script, rng, 8);
+  script += "</p></div>\");\n";
+  pad_to(script, spec.js_bytes, [&rng](std::string& out) {
+    out += "// ";
+    append_sentence(out, rng, 9);
+    out += '\n';
+  });
   return script;
 }
 
-std::string make_css_file(const PageSpec& spec, const std::string& base,
+std::string make_css_file(const PageSpec& spec, std::string_view base,
                           int sheet_index, Rng& rng) {
+  constexpr std::string_view kPadRule = " */\n.pad { margin: 0; }\n";
   std::string css;
+  css.reserve(spec.css_bytes + 3 + sentence_bound(8) + kPadRule.size());
   for (int rule = 0; rule < 10; ++rule) {
-    const std::string cls = "c" + std::to_string(rule);
-    css += "." + cls + " { color: #" + std::to_string(100 + rule * 37) +
-           "; margin: " + std::to_string(2 + rule) +
-           "px; padding: " + std::to_string(1 + rule % 4) + "px; }\n";
-    css += "div." + cls + " p { font-size: " + std::to_string(11 + rule % 5) +
-           "px; line-height: 1." + std::to_string(2 + rule % 6) + "; }\n";
+    append(css, ".c", rule, " { color: #", 100 + rule * 37, "; margin: ", 2 + rule,
+           "px; padding: ", 1 + rule % 4, "px; }\n");
+    append(css, "div.c", rule, " p { font-size: ", 11 + rule % 5,
+           "px; line-height: 1.", 2 + rule % 6, "; }\n");
   }
   for (int image = 0; image < spec.css_images; ++image) {
-    css += ".bg" + std::to_string(sheet_index) + "_" + std::to_string(image) +
-           " { background-image: url(" + base + "/img/css" +
-           std::to_string(sheet_index) + "_" + std::to_string(image) +
-           ".jpg); }\n";
+    append(css, ".bg", sheet_index, "_", image, " { background-image: url(", base,
+           "/img/css", sheet_index, "_", image, ".jpg); }\n");
   }
-  pad_to(css, spec.css_bytes, [&rng] {
-    return "/* " + sentence(rng, 8) + " */\n.pad { margin: 0; }\n";
+  pad_to(css, spec.css_bytes, [&rng, kPadRule](std::string& out) {
+    out += "/* ";
+    append_sentence(out, rng, 8);
+    out += kPadRule;
   });
   return css;
 }
 
-std::string make_html(const PageSpec& spec, const std::string& base, Rng& rng) {
-  std::string html = "<!doctype html>\n<html>\n<head>\n<title>" + spec.site +
-                     "</title>\n";
+std::string make_html(const PageSpec& spec, std::string_view base, Rng& rng) {
+  constexpr std::string_view kPadOpen = "<p class=\"c9\">";
+  constexpr std::string_view kPadClose = "</p>\n";
+  std::string html;
+  html.reserve(spec.html_bytes + kPadOpen.size() + sentence_bound(22) +
+               kPadClose.size());
+  append(html, "<!doctype html>\n<html>\n<head>\n<title>", spec.site,
+         "</title>\n");
   for (int sheet = 0; sheet < spec.css_files; ++sheet) {
-    html += "<link rel=\"stylesheet\" href=\"" + base + "/css/s" +
-            std::to_string(sheet) + ".css\">\n";
+    append(html, "<link rel=\"stylesheet\" href=\"", base, "/css/s", sheet,
+           ".css\">\n");
   }
-  html += "</head>\n<body>\n";
-  html += "<div id=\"masthead\" class=\"c0\"><h1>" + sentence(rng, 3) +
-          "</h1></div>\n";
-  html += "<script>\n" + make_inline_script(spec, rng) + "</script>\n";
+  html += "</head>\n<body>\n<div id=\"masthead\" class=\"c0\"><h1>";
+  append_sentence(html, rng, 3);
+  html += "</h1></div>\n<script>\n";
+  append_inline_script(html, spec, rng);
+  html += "</script>\n";
 
   // Navigation block carries most of the secondary URLs.
   html += "<ul class=\"c1\">\n";
   const int nav_anchors = spec.anchors / 2;
   for (int anchor = 0; anchor < nav_anchors; ++anchor) {
-    html += "<li><a href=\"" + base + "/section/a" + std::to_string(anchor) +
-            ".html\">" + kWords[rng.uniform_index(kWordCount)] + "</a></li>\n";
+    append(html, "<li><a href=\"", base, "/section/a", anchor, ".html\">",
+           word(rng), "</a></li>\n");
   }
   html += "</ul>\n";
 
   int emitted_images = 0;
   int emitted_anchors = nav_anchors;
   for (int paragraph = 0; paragraph < spec.paragraphs; ++paragraph) {
-    html += "<div class=\"c" + std::to_string(2 + paragraph % 8) + "\">\n<p>" +
-            sentence(rng, static_cast<int>(18 + rng.uniform_index(30)));
+    append(html, "<div class=\"c", 2 + paragraph % 8, "\">\n<p>");
+    append_sentence(html, rng, static_cast<int>(18 + rng.uniform_index(30)));
     if (emitted_anchors < spec.anchors && paragraph % 2 == 0) {
-      html += " <a href=\"" + base + "/story/s" + std::to_string(paragraph) +
-              ".html\">" + kWords[rng.uniform_index(kWordCount)] + "</a> " +
-              sentence(rng, 6);
+      // The sentence after the link is drawn before the link's word: the
+      // order the corpus was first generated in.
+      std::string after;
+      append_sentence(after, rng, 6);
+      append(html, " <a href=\"", base, "/story/s", paragraph, ".html\">",
+             word(rng), "</a> ", after);
       ++emitted_anchors;
     }
     html += "</p>\n";
     if (emitted_images < spec.html_images && paragraph % 2 == 1) {
       const int width = static_cast<int>(120 + rng.uniform_index(200));
       const int height = static_cast<int>(80 + rng.uniform_index(160));
-      html += "<img src=\"" + base + "/img/h" + std::to_string(emitted_images) +
-              ".jpg\" width=\"" + std::to_string(width) + "\" height=\"" +
-              std::to_string(height) + "\">\n";
+      append(html, "<img src=\"", base, "/img/h", emitted_images,
+             ".jpg\" width=\"", width, "\" height=\"", height, "\">\n");
       ++emitted_images;
     }
     html += "</div>\n";
@@ -149,30 +185,30 @@ std::string make_html(const PageSpec& spec, const std::string& base, Rng& rng) {
   if (emitted_anchors < spec.anchors) {
     html += "<ul class=\"c3\">\n";
     while (emitted_anchors < spec.anchors) {
-      html += "<li><a href=\"" + base + "/more/a" +
-              std::to_string(emitted_anchors) + ".html\">" +
-              kWords[rng.uniform_index(kWordCount)] + "</a></li>\n";
+      append(html, "<li><a href=\"", base, "/more/a", emitted_anchors,
+             ".html\">", word(rng), "</a></li>\n");
       ++emitted_anchors;
     }
     html += "</ul>\n";
   }
   // Any images the paragraph loop did not fit go in a trailing gallery.
   while (emitted_images < spec.html_images) {
-    html += "<img src=\"" + base + "/img/h" + std::to_string(emitted_images) +
-            ".jpg\" width=\"160\" height=\"120\">\n";
+    append(html, "<img src=\"", base, "/img/h", emitted_images,
+           ".jpg\" width=\"160\" height=\"120\">\n");
     ++emitted_images;
   }
   for (int flash = 0; flash < spec.flash_objects; ++flash) {
-    html += "<embed src=\"" + base + "/media/f" + std::to_string(flash) +
-            ".swf\" width=\"300\" height=\"150\">\n";
+    append(html, "<embed src=\"", base, "/media/f", flash,
+           ".swf\" width=\"300\" height=\"150\">\n");
   }
   for (int script = 0; script < spec.js_files; ++script) {
-    html += "<script src=\"" + base + "/js/a" + std::to_string(script) +
-            ".js\"></script>\n";
+    append(html, "<script src=\"", base, "/js/a", script, ".js\"></script>\n");
   }
   html += "</body>\n</html>\n";
-  pad_to(html, spec.html_bytes, [&rng] {
-    return "<p class=\"c9\">" + sentence(rng, 22) + "</p>\n";
+  pad_to(html, spec.html_bytes, [&rng, kPadOpen, kPadClose](std::string& out) {
+    out += kPadOpen;
+    append_sentence(out, rng, 22);
+    out += kPadClose;
   });
   return html;
 }

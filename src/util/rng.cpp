@@ -15,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t v, int k) {
-  return (v << k) | (v >> (64 - k));
-}
-
 }  // namespace
 
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t index) {
@@ -40,18 +36,6 @@ void Rng::reseed(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 double Rng::uniform() {
   // 53 random mantissa bits -> uniform in [0, 1).
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
@@ -59,13 +43,8 @@ double Rng::uniform() {
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-std::uint64_t Rng::uniform_index(std::uint64_t n) {
-  if (n == 0) throw std::invalid_argument("Rng::uniform_index: n must be > 0");
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = UINT64_MAX - UINT64_MAX % n;
-  std::uint64_t v = next_u64();
-  while (v >= limit) v = next_u64();
-  return v % n;
+void Rng::zero_index_range() {
+  throw std::invalid_argument("Rng::uniform_index: n must be > 0");
 }
 
 double Rng::normal() {

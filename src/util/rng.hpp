@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -30,7 +31,17 @@ class Rng {
   void reseed(std::uint64_t seed);
 
   /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double uniform();
@@ -38,8 +49,16 @@ class Rng {
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Uniform integer in [0, n). Requires n > 0.
-  std::uint64_t uniform_index(std::uint64_t n);
+  /// Uniform integer in [0, n). Requires n > 0.  Inline, so a constant n
+  /// turns both remainders into multiplies.
+  std::uint64_t uniform_index(std::uint64_t n) {
+    if (n == 0) zero_index_range();
+    // Rejection sampling to avoid modulo bias.
+    const std::uint64_t limit = UINT64_MAX - UINT64_MAX % n;
+    std::uint64_t v = next_u64();
+    while (v >= limit) v = next_u64();
+    return v % n;
+  }
 
   /// Standard normal via Box-Muller (deterministic, no cached spare).
   double normal();
@@ -69,6 +88,9 @@ class Rng {
   Rng fork();
 
  private:
+  /// Throws the invalid_argument of uniform_index(0).
+  [[noreturn]] static void zero_index_range();
+
   std::array<std::uint64_t, 4> state_{};
 };
 

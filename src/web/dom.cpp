@@ -4,12 +4,26 @@
 
 namespace eab::web {
 
-std::unique_ptr<DomNode> DomNode::element(std::string tag) {
-  std::transform(tag.begin(), tag.end(), tag.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+std::unique_ptr<DomNode> DomNode::element(std::string tag,
+                                           Attributes attrs) {
+  // Fold repeated names in place: the first keeps its slot, the last value
+  // wins, exactly as a set_attr per attribute would leave them.
+  auto kept = attrs.begin();
+  for (auto it = attrs.begin(); it != attrs.end(); ++it) {
+    const auto same = std::find_if(attrs.begin(), kept, [&](const auto& attr) {
+      return attr.first == it->first;
+    });
+    if (same != kept) {
+      same->second = std::move(it->second);
+    } else {
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
+    }
+  }
+  attrs.erase(kept, attrs.end());
   auto node = std::unique_ptr<DomNode>(new DomNode(Type::kElement));
   node->tag_ = std::move(tag);
+  node->attrs_ = std::move(attrs);
   return node;
 }
 
@@ -19,7 +33,7 @@ std::unique_ptr<DomNode> DomNode::text(std::string content) {
   return node;
 }
 
-const std::string& DomNode::attr(const std::string& name) const {
+const std::string& DomNode::attr(std::string_view name) const {
   static const std::string kEmpty;
   for (const auto& [key, value] : attrs_) {
     if (key == name) return value;
@@ -27,7 +41,7 @@ const std::string& DomNode::attr(const std::string& name) const {
   return kEmpty;
 }
 
-bool DomNode::has_attr(const std::string& name) const {
+bool DomNode::has_attr(std::string_view name) const {
   for (const auto& [key, value] : attrs_) {
     if (key == name) return true;
   }
@@ -94,18 +108,22 @@ const DomNode* DomTree::find_first(const std::string& tag) const {
 
 std::string DomTree::signature() const {
   std::string sig;
-  root_->visit([&sig](const DomNode& node) {
+  // Attributes sorted so insertion order does not affect equality; the
+  // sort moves pointers, one buffer reused for every element.
+  std::vector<const std::pair<std::string, std::string>*> sorted;
+  root_->visit([&sig, &sorted](const DomNode& node) {
     if (node.is_element()) {
       sig += '<';
       sig += node.tag();
-      // Attributes sorted so insertion order does not affect equality.
-      auto attrs = node.attrs();
-      std::sort(attrs.begin(), attrs.end());
-      for (const auto& [key, value] : attrs) {
+      sorted.clear();
+      for (const auto& attr : node.attrs()) sorted.push_back(&attr);
+      std::sort(sorted.begin(), sorted.end(),
+                [](const auto* a, const auto* b) { return *a < *b; });
+      for (const auto* attr : sorted) {
         sig += ' ';
-        sig += key;
+        sig += attr->first;
         sig += '=';
-        sig += value;
+        sig += attr->second;
       }
       sig += '>';
     } else {

@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,8 +20,13 @@ class DomNode {
  public:
   enum class Type { kElement, kText };
 
-  /// Creates an element node.
-  static std::unique_ptr<DomNode> element(std::string tag);
+  using Attributes = std::vector<std::pair<std::string, std::string>>;
+
+  /// Creates an element node.  `tag` must already be lower-cased (the
+  /// tokenizer cuts names that way).  `attrs` are applied in order, as by
+  /// set_attr: a repeated name keeps its first position and its last value.
+  static std::unique_ptr<DomNode> element(std::string tag,
+                                          Attributes attrs = {});
   /// Creates a text node.
   static std::unique_ptr<DomNode> text(std::string content);
 
@@ -34,12 +40,10 @@ class DomNode {
   const std::string& content() const { return content_; }
 
   /// Attribute access. Returns empty string when absent.
-  const std::string& attr(const std::string& name) const;
-  bool has_attr(const std::string& name) const;
+  const std::string& attr(std::string_view name) const;
+  bool has_attr(std::string_view name) const;
   void set_attr(std::string name, std::string value);
-  const std::vector<std::pair<std::string, std::string>>& attrs() const {
-    return attrs_;
-  }
+  const Attributes& attrs() const { return attrs_; }
 
   /// Appends a child; returns a reference to the adopted node.
   DomNode& append_child(std::unique_ptr<DomNode> child);
@@ -66,7 +70,7 @@ class DomNode {
   Type type_;
   std::string tag_;
   std::string content_;
-  std::vector<std::pair<std::string, std::string>> attrs_;
+  Attributes attrs_;
   std::vector<std::unique_ptr<DomNode>> children_;
   DomNode* parent_ = nullptr;
 };

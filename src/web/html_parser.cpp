@@ -1,24 +1,23 @@
 #include "web/html_parser.hpp"
 
-#include <array>
 #include <algorithm>
+#include <array>
 
+#include "web/ascii.hpp"
 #include "web/html_tokenizer.hpp"
 
 namespace eab::web {
 namespace {
 
-bool is_void_element(const std::string& tag) {
+bool is_void_element(std::string_view tag) {
   static constexpr std::array<std::string_view, 14> kVoid = {
       "area", "base", "br",    "col",   "embed",  "hr",    "img",
       "input", "link", "meta", "param", "source", "track", "wbr"};
   return std::find(kVoid.begin(), kVoid.end(), tag) != kVoid.end();
 }
 
-bool is_whitespace_only(const std::string& text) {
-  return std::all_of(text.begin(), text.end(), [](unsigned char c) {
-    return std::isspace(c);
-  });
+bool is_whitespace_only(std::string_view text) {
+  return std::all_of(text.begin(), text.end(), ascii::is_space);
 }
 
 /// Extracts references/scripts from one element as it is inserted.
@@ -30,42 +29,33 @@ void harvest(const DomNode& node, ParsedHtml& out) {
   };
   const std::string& tag = node.tag();
   if (tag == "img") {
-    if (node.has_attr("src")) {
-      add_ref(node.attr("src"), net::ResourceKind::kImage);
-    }
+    add_ref(node.attr("src"), net::ResourceKind::kImage);
   } else if (tag == "script") {
-    if (node.has_attr("src")) {
-      add_ref(node.attr("src"), net::ResourceKind::kJs);
-    }
+    add_ref(node.attr("src"), net::ResourceKind::kJs);
   } else if (tag == "link") {
-    if (node.attr("rel") == "stylesheet" && node.has_attr("href")) {
+    if (node.attr("rel") == "stylesheet") {
       add_ref(node.attr("href"), net::ResourceKind::kCss);
     }
   } else if (tag == "embed") {
-    if (node.has_attr("src")) {
-      add_ref(node.attr("src"), net::ResourceKind::kFlash);
-    }
+    add_ref(node.attr("src"), net::ResourceKind::kFlash);
   } else if (tag == "object") {
-    if (node.has_attr("data")) {
-      add_ref(node.attr("data"), net::ResourceKind::kFlash);
-    }
+    add_ref(node.attr("data"), net::ResourceKind::kFlash);
   } else if (tag == "iframe") {
-    if (node.has_attr("src")) {
-      add_ref(node.attr("src"), net::ResourceKind::kHtml);
-    }
+    add_ref(node.attr("src"), net::ResourceKind::kHtml);
   } else if (tag == "a") {
-    if (!node.attr("href").empty()) {
-      out.secondary_urls.push_back(node.attr("href"));
-    }
+    const std::string& href = node.attr("href");
+    if (!href.empty()) out.secondary_urls.push_back(href);
   }
 }
 
-/// Shared tree-construction pass used for documents and fragments.
-void build_tree(const std::vector<HtmlToken>& tokens, DomNode& root,
-                ParsedHtml& out) {
+/// Shared tree-construction pass used for documents and fragments: takes
+/// each token as the tokenizer cuts it and moves its strings into the DOM.
+void build_tree(std::string_view html, DomNode& root, ParsedHtml& out) {
   std::vector<DomNode*> stack{&root};
+  HtmlTokenizer tokenizer(html);
+  HtmlToken token;
 
-  for (const auto& token : tokens) {
+  while (tokenizer.next(token)) {
     DomNode& parent = *stack.back();
     switch (token.type) {
       case HtmlToken::Type::kDoctype:
@@ -76,20 +66,17 @@ void build_tree(const std::vector<HtmlToken>& tokens, DomNode& root,
         // Inside <script>, the body is an inline script, not page text.
         if (parent.tag() == "script" && !parent.has_attr("src")) {
           out.inline_scripts.push_back(token.text);
-          parent.append_child(DomNode::text(token.text));
+          parent.append_child(DomNode::text(std::move(token.text)));
           break;
         }
         if (is_whitespace_only(token.text)) break;
         out.text_bytes += token.text.size();
-        parent.append_child(DomNode::text(token.text));
+        parent.append_child(DomNode::text(std::move(token.text)));
         break;
       }
       case HtmlToken::Type::kStartTag: {
-        auto element = DomNode::element(token.name);
-        for (const auto& [name, value] : token.attrs) {
-          element->set_attr(name, value);
-        }
-        DomNode& inserted = parent.append_child(std::move(element));
+        DomNode& inserted = parent.append_child(
+            DomNode::element(std::move(token.name), std::move(token.attrs)));
         harvest(inserted, out);
         if (!token.self_closing && !is_void_element(inserted.tag())) {
           stack.push_back(&inserted);
@@ -114,13 +101,13 @@ void build_tree(const std::vector<HtmlToken>& tokens, DomNode& root,
 
 ParsedHtml parse_html(std::string_view html) {
   ParsedHtml out;
-  build_tree(tokenize_html(html), out.dom.root(), out);
+  build_tree(html, out.dom.root(), out);
   return out;
 }
 
 void parse_html_fragment(std::string_view fragment, DomNode& parent,
                          ParsedHtml& out) {
-  build_tree(tokenize_html(fragment), parent, out);
+  build_tree(fragment, parent, out);
 }
 
 }  // namespace eab::web

@@ -1,264 +1,249 @@
 #include "web/html_tokenizer.hpp"
 
-#include <cctype>
+#include <algorithm>
+
+#include "web/ascii.hpp"
 
 namespace eab::web {
 namespace {
 
-char to_lower(char c) {
-  return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-}
+constexpr std::size_t npos = std::string_view::npos;
 
 bool is_name_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '-' || c == '_' ||
-         c == ':';
+  return ascii::is_alnum(c) || c == '-' || c == '_' || c == ':';
 }
 
-/// Cursor over the raw document with small parsing helpers.
-class Cursor {
- public:
-  explicit Cursor(std::string_view html) : html_(html) {}
+/// The first case-insensitive occurrence of `needle` in `text` at or after
+/// `from`, or npos.  needle[0] must not be a letter, so it is found exactly
+/// with find() and only the rest is compared case-insensitively.
+std::size_t find_ci(std::string_view text, std::size_t from,
+                    std::string_view needle) {
+  for (;; ++from) {
+    from = text.find(needle[0], from);
+    if (from == npos) return npos;
+    if (ascii::istarts_with(text.substr(from), needle)) return from;
+  }
+}
 
-  bool done() const { return pos_ >= html_.size(); }
-  char peek() const { return html_[pos_]; }
-  char take() { return html_[pos_++]; }
-  std::size_t pos() const { return pos_; }
-
-  bool starts_with(std::string_view prefix) const {
-    if (pos_ + prefix.size() > html_.size()) return false;
-    for (std::size_t i = 0; i < prefix.size(); ++i) {
-      if (to_lower(html_[pos_ + i]) != to_lower(prefix[i])) return false;
+/// The character a reference name (between '&' and ';') stands for, or 0
+/// when it is not one we decode.
+char decode_reference(std::string_view name) {
+  if (name == "amp") return '&';
+  if (name == "lt") return '<';
+  if (name == "gt") return '>';
+  if (name == "quot") return '"';
+  if (name == "apos") return '\'';
+  if (name == "nbsp") return ' ';
+  if (name.empty() || name[0] != '#') return 0;
+  long code = 0;
+  if (name.size() > 2 && (name[1] == 'x' || name[1] == 'X')) {
+    for (const char c : name.substr(2)) {
+      if (!ascii::is_xdigit(c)) return 0;
+      code = code * 16 +
+             (ascii::is_digit(c) ? c - '0' : ascii::to_lower(c) - 'a' + 10);
     }
-    return true;
-  }
-
-  void skip(std::size_t n) { pos_ = std::min(pos_ + n, html_.size()); }
-
-  void skip_whitespace() {
-    while (!done() && std::isspace(static_cast<unsigned char>(peek()))) take();
-  }
-
-  std::string take_name() {
-    std::string name;
-    while (!done() && is_name_char(peek())) name.push_back(to_lower(take()));
-    return name;
-  }
-
-  /// Everything up to (not including) the first case-insensitive occurrence
-  /// of `needle`; consumes the needle too. Consumes to end if absent.
-  std::string take_until(std::string_view needle) {
-    std::string out;
-    while (!done()) {
-      if (starts_with(needle)) {
-        skip(needle.size());
-        return out;
-      }
-      out.push_back(take());
+  } else {
+    if (name.size() < 2) return 0;
+    for (const char c : name.substr(1)) {
+      if (!ascii::is_digit(c)) return 0;
+      code = code * 10 + (c - '0');
     }
-    return out;
   }
-
- private:
-  std::string_view html_;
-  std::size_t pos_ = 0;
-};
+  // Outside printable ASCII the raw reference is kept.
+  return code <= 0 || code > 126 ? 0 : static_cast<char>(code);
+}
 
 /// Decodes the handful of character references that matter in practice
 /// (named: amp/lt/gt/quot/apos/nbsp; numeric: &#NN; and &#xHH;). Unknown
 /// references pass through literally, like browsers in quirks handling.
+/// Runs between ampersands are appended whole.
 std::string decode_entities(std::string_view text) {
-  if (text.find('&') == std::string_view::npos) return std::string(text);
+  std::size_t amp = text.find('&');
+  if (amp == npos) return std::string(text);
   std::string out;
   out.reserve(text.size());
   std::size_t i = 0;
-  while (i < text.size()) {
-    if (text[i] != '&') {
-      out.push_back(text[i++]);
-      continue;
-    }
-    const std::size_t semi = text.find(';', i + 1);
-    if (semi == std::string_view::npos || semi - i > 10) {
-      out.push_back(text[i++]);
-      continue;
-    }
-    const std::string_view name = text.substr(i + 1, semi - i - 1);
-    if (name == "amp") {
-      out.push_back('&');
-    } else if (name == "lt") {
-      out.push_back('<');
-    } else if (name == "gt") {
-      out.push_back('>');
-    } else if (name == "quot") {
-      out.push_back('"');
-    } else if (name == "apos") {
-      out.push_back('\'');
-    } else if (name == "nbsp") {
-      out.push_back(' ');
-    } else if (!name.empty() && name[0] == '#') {
-      long code = 0;
-      bool valid = name.size() > 1;
-      if (name.size() > 2 && (name[1] == 'x' || name[1] == 'X')) {
-        for (std::size_t k = 2; k < name.size(); ++k) {
-          const char c = name[k];
-          if (!std::isxdigit(static_cast<unsigned char>(c))) {
-            valid = false;
-            break;
-          }
-          code = code * 16 + (std::isdigit(static_cast<unsigned char>(c))
-                                  ? c - '0'
-                                  : std::tolower(c) - 'a' + 10);
-        }
-      } else {
-        for (std::size_t k = 1; k < name.size(); ++k) {
-          if (!std::isdigit(static_cast<unsigned char>(name[k]))) {
-            valid = false;
-            break;
-          }
-          code = code * 10 + (name[k] - '0');
-        }
-      }
-      if (!valid || code <= 0 || code > 126) {
-        out.push_back(text[i++]);  // outside ASCII: keep the raw reference
-        continue;
-      }
-      out.push_back(static_cast<char>(code));
+  while (amp != npos) {
+    out.append(text.substr(i, amp - i));
+    i = amp + 1;
+    const std::size_t semi = text.find(';', i);
+    const char decoded = semi == npos || semi - amp > 10
+                             ? 0
+                             : decode_reference(text.substr(i, semi - i));
+    if (decoded != 0) {
+      out.push_back(decoded);
+      i = semi + 1;
     } else {
-      out.push_back(text[i++]);  // unknown entity: literal ampersand
-      continue;
+      out.push_back('&');  // unknown or malformed: literal ampersand
     }
-    i = semi + 1;
+    amp = text.find('&', i);
   }
+  out.append(text.substr(i));
   return out;
 }
 
+/// Slice-level cursor moves over one document; `pos` is the tokenizer's.
+struct Scan {
+  std::string_view html;
+  std::size_t& pos;
 
-/// Parses the attribute list of a start tag; leaves the cursor after '>'.
-void parse_attributes(Cursor& cursor, HtmlToken& token) {
-  while (!cursor.done()) {
-    cursor.skip_whitespace();
-    if (cursor.done()) return;
-    if (cursor.peek() == '>') {
-      cursor.take();
-      return;
-    }
-    if (cursor.peek() == '/') {
-      cursor.take();
-      cursor.skip_whitespace();
-      if (!cursor.done() && cursor.peek() == '>') {
-        cursor.take();
-        token.self_closing = true;
+  bool done() const { return pos >= html.size(); }
+  std::string_view rest() const { return html.substr(pos); }
+
+  void skip_space() { pos = ascii::skip_space(html, pos); }
+
+  std::string_view take_name() {
+    const std::size_t start = pos;
+    while (pos < html.size() && is_name_char(html[pos])) ++pos;
+    return html.substr(start, pos - start);
+  }
+
+  /// Everything before the first case-insensitive occurrence of `needle`,
+  /// which is consumed too; the rest of the document if it is absent.
+  std::string_view take_until(std::string_view needle) {
+    const std::size_t at = std::min(find_ci(html, pos, needle), html.size());
+    const std::string_view before = html.substr(pos, at - pos);
+    pos = std::min(at + needle.size(), html.size());
+    return before;
+  }
+
+  /// Whether the '<' at `at` opens a comment, doctype, end tag or start
+  /// tag; otherwise it is literal text (e.g. "a < b").
+  bool opens_construct(std::size_t at) const {
+    const std::string_view from = html.substr(at);
+    return ascii::istarts_with(from, "<!--") ||
+           ascii::istarts_with(from, "<!doctype") ||
+           (from.size() > 1 && (from[1] == '/' || ascii::is_alpha(from[1])));
+  }
+
+  /// Parses the attribute list of a start tag; leaves the cursor after '>'.
+  void attributes(HtmlToken& token) {
+    while (!done()) {
+      skip_space();
+      if (done()) return;
+      if (html[pos] == '>') {
+        ++pos;
         return;
       }
-      continue;  // stray slash: ignore, like browsers do
-    }
-    std::string name = cursor.take_name();
-    if (name.empty()) {
-      cursor.take();  // unparseable character inside a tag: drop it
-      continue;
-    }
-    std::string value;
-    cursor.skip_whitespace();
-    if (!cursor.done() && cursor.peek() == '=') {
-      cursor.take();
-      cursor.skip_whitespace();
-      if (!cursor.done() && (cursor.peek() == '"' || cursor.peek() == '\'')) {
-        const char quote = cursor.take();
-        while (!cursor.done() && cursor.peek() != quote) value.push_back(cursor.take());
-        if (!cursor.done()) cursor.take();  // closing quote
-      } else {
-        while (!cursor.done() && !std::isspace(static_cast<unsigned char>(cursor.peek())) &&
-               cursor.peek() != '>') {
-          value.push_back(cursor.take());
+      if (html[pos] == '/') {
+        ++pos;
+        skip_space();
+        if (!done() && html[pos] == '>') {
+          ++pos;
+          token.self_closing = true;
+          return;
+        }
+        continue;  // stray slash: ignore, like browsers do
+      }
+      const std::string_view name = take_name();
+      if (name.empty()) {
+        ++pos;  // unparseable character inside a tag: drop it
+        continue;
+      }
+      std::string_view value;
+      skip_space();
+      if (!done() && html[pos] == '=') {
+        ++pos;
+        skip_space();
+        if (!done() && (html[pos] == '"' || html[pos] == '\'')) {
+          const char quote = html[pos++];
+          const std::size_t end = std::min(html.find(quote, pos), html.size());
+          value = html.substr(pos, end - pos);
+          pos = std::min(end + 1, html.size());  // past the closing quote
+        } else {
+          const std::size_t start = pos;
+          while (!done() && !ascii::is_space(html[pos]) && html[pos] != '>') {
+            ++pos;
+          }
+          value = html.substr(start, pos - start);
         }
       }
+      token.attrs.emplace_back(ascii::lowered(name), decode_entities(value));
     }
-    token.attrs.emplace_back(std::move(name), decode_entities(value));
   }
-}
+};
 
 }  // namespace
 
+bool HtmlTokenizer::next(HtmlToken& token) {
+  token.name.clear();
+  token.attrs.clear();
+  token.text.clear();
+  token.self_closing = false;
+  Scan scan{html_, pos_};
+
+  // script/style bodies are raw text up to the matching end tag.
+  if (raw_ == Raw::kBody) {
+    raw_ = Raw::kEndTag;
+    const std::string_view body =
+        scan.take_until(raw_tag_ == "script" ? "</script>" : "</style>");
+    if (!body.empty()) {
+      token.type = HtmlToken::Type::kText;
+      token.text.assign(body);
+      return true;
+    }
+  }
+  if (raw_ == Raw::kEndTag) {
+    raw_ = Raw::kNone;
+    token.type = HtmlToken::Type::kEndTag;
+    token.name.assign(raw_tag_);
+    return true;
+  }
+  if (scan.done()) return false;
+
+  // A text run: up to the next '<' that opens a construct.
+  const std::size_t text_start = pos_;
+  while (!scan.done()) {
+    if (html_[pos_] != '<') {
+      pos_ = std::min(html_.find('<', pos_), html_.size());
+      continue;
+    }
+    if (scan.opens_construct(pos_)) break;
+    ++pos_;  // literal '<'
+  }
+  if (pos_ > text_start) {
+    token.type = HtmlToken::Type::kText;
+    token.text = decode_entities(html_.substr(text_start, pos_ - text_start));
+    return true;
+  }
+
+  const std::string_view at = scan.rest();
+  if (ascii::istarts_with(at, "<!--")) {
+    pos_ += 4;
+    token.type = HtmlToken::Type::kComment;
+    token.text.assign(scan.take_until("-->"));
+    return true;
+  }
+  if (ascii::istarts_with(at, "<!doctype")) {
+    pos_ += 2;  // "<!"
+    token.type = HtmlToken::Type::kDoctype;
+    token.text.assign(scan.take_until(">"));
+    return true;
+  }
+  if (at[1] == '/') {
+    pos_ += 2;
+    token.type = HtmlToken::Type::kEndTag;
+    token.name = ascii::lowered(scan.take_name());
+    scan.take_until(">");  // discard anything else inside the end tag
+    return true;
+  }
+  ++pos_;  // '<' before a letter: a start tag
+  token.type = HtmlToken::Type::kStartTag;
+  token.name = ascii::lowered(scan.take_name());
+  scan.attributes(token);
+  if (!token.self_closing &&
+      (token.name == "script" || token.name == "style")) {
+    raw_ = Raw::kBody;
+    raw_tag_ = token.name == "script" ? "script" : "style";
+  }
+  return true;
+}
+
 std::vector<HtmlToken> tokenize_html(std::string_view html) {
   std::vector<HtmlToken> tokens;
-  Cursor cursor(html);
-  std::string pending_text;
-
-  auto flush_text = [&] {
-    if (pending_text.empty()) return;
-    HtmlToken token;
-    token.type = HtmlToken::Type::kText;
-    token.text = decode_entities(pending_text);
-    pending_text.clear();
-    tokens.push_back(std::move(token));
-  };
-
-  while (!cursor.done()) {
-    if (cursor.peek() != '<') {
-      pending_text.push_back(cursor.take());
-      continue;
-    }
-    // '<' — decide what construct this opens.
-    if (cursor.starts_with("<!--")) {
-      flush_text();
-      cursor.skip(4);
-      HtmlToken token;
-      token.type = HtmlToken::Type::kComment;
-      token.text = cursor.take_until("-->");
-      tokens.push_back(std::move(token));
-      continue;
-    }
-    if (cursor.starts_with("<!doctype")) {
-      flush_text();
-      cursor.skip(2);  // "<!"
-      HtmlToken token;
-      token.type = HtmlToken::Type::kDoctype;
-      token.text = cursor.take_until(">");
-      tokens.push_back(std::move(token));
-      continue;
-    }
-    if (cursor.starts_with("</")) {
-      flush_text();
-      cursor.skip(2);
-      HtmlToken token;
-      token.type = HtmlToken::Type::kEndTag;
-      token.name = cursor.take_name();
-      cursor.take_until(">");  // discard anything else inside the end tag
-      tokens.push_back(std::move(token));
-      continue;
-    }
-    // Possible start tag: '<' must be followed by a letter, otherwise it is
-    // literal text (e.g. "a < b").
-    if (cursor.pos() + 1 < html.size() &&
-        std::isalpha(static_cast<unsigned char>(html[cursor.pos() + 1]))) {
-      flush_text();
-      cursor.take();  // '<'
-      HtmlToken token;
-      token.type = HtmlToken::Type::kStartTag;
-      token.name = cursor.take_name();
-      parse_attributes(cursor, token);
-      const std::string name = token.name;
-      const bool self_closing = token.self_closing;
-      tokens.push_back(std::move(token));
-      // script/style bodies are raw text up to the matching end tag.
-      if (!self_closing && (name == "script" || name == "style")) {
-        const std::string close = "</" + name + ">";
-        std::string body = cursor.take_until(close);
-        if (!body.empty()) {
-          HtmlToken text_token;
-          text_token.type = HtmlToken::Type::kText;
-          text_token.text = std::move(body);
-          tokens.push_back(std::move(text_token));
-        }
-        HtmlToken end_token;
-        end_token.type = HtmlToken::Type::kEndTag;
-        end_token.name = name;
-        tokens.push_back(std::move(end_token));
-      }
-      continue;
-    }
-    pending_text.push_back(cursor.take());  // literal '<'
-  }
-  flush_text();
+  HtmlTokenizer tokenizer(html);
+  HtmlToken token;
+  while (tokenizer.next(token)) tokens.push_back(std::move(token));
   return tokens;
 }
 

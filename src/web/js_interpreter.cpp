@@ -65,10 +65,22 @@ std::string Value::to_string() const {
   if (const double* d = std::get_if<double>(&storage)) return number_to_string(*d);
   if (const std::string* s = std::get_if<std::string>(&storage)) return *s;
   if (const auto* arr = std::get_if<std::shared_ptr<Array>>(&storage)) {
+    // An array already being joined further up this thread's stack renders
+    // as "", as Array.prototype.join does, so an array that contains itself
+    // cannot recurse without end.
+    thread_local std::vector<const Array*> joining;
+    const Array* self = arr->get();
+    if (std::find(joining.begin(), joining.end(), self) != joining.end()) {
+      return "";
+    }
+    joining.push_back(self);
+    struct Done {
+      ~Done() { joining.pop_back(); }
+    } done;
     std::string out;
-    for (std::size_t i = 0; i < (*arr)->size(); ++i) {
+    for (std::size_t i = 0; i < self->size(); ++i) {
       if (i > 0) out += ",";
-      out += (**arr)[i].to_string();
+      out += (*self)[i].to_string();
     }
     return out;
   }

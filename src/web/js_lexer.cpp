@@ -1,7 +1,8 @@
+#include <algorithm>
 #include <array>
-#include <cctype>
 #include <cstdlib>
 
+#include "web/ascii.hpp"
 #include "web/js.hpp"
 
 namespace eab::web::js {
@@ -19,11 +20,11 @@ bool is_keyword(const std::string& word) {
 }
 
 bool is_ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '$';
+  return ascii::is_alpha(c) || c == '_' || c == '$';
 }
 
 bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '$';
+  return ascii::is_alnum(c) || c == '_' || c == '$';
 }
 
 }  // namespace
@@ -39,13 +40,13 @@ std::vector<Token> tokenize(std::string_view source) {
 
   while (i < n) {
     const char c = source[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (ascii::is_space(c)) {
       ++i;
       continue;
     }
     // Comments.
     if (c == '/' && i + 1 < n && source[i + 1] == '/') {
-      while (i < n && source[i] != '\n') ++i;
+      i = std::min(source.find('\n', i), n);
       continue;
     }
     if (c == '/' && i + 1 < n && source[i + 1] == '*') {
@@ -56,15 +57,15 @@ std::vector<Token> tokenize(std::string_view source) {
       continue;
     }
     // Numbers (decimal, optional fraction).
-    if (std::isdigit(static_cast<unsigned char>(c))) {
+    if (ascii::is_digit(c)) {
       Token token;
       token.type = TokenType::kNumber;
       token.offset = i;
       std::size_t start = i;
-      while (i < n && std::isdigit(static_cast<unsigned char>(source[i]))) ++i;
+      while (i < n && ascii::is_digit(source[i])) ++i;
       if (i < n && source[i] == '.') {
         ++i;
-        while (i < n && std::isdigit(static_cast<unsigned char>(source[i]))) ++i;
+        while (i < n && ascii::is_digit(source[i])) ++i;
       }
       token.text = std::string(source.substr(start, i - start));
       token.number = std::strtod(token.text.c_str(), nullptr);

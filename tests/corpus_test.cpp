@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "corpus/page_spec.hpp"
+#include "util/hash.hpp"
 #include "web/css.hpp"
 #include "web/html_parser.hpp"
 
@@ -125,6 +129,65 @@ TEST(Generator, CssContainsDeclaredImageChain) {
   EXPECT_EQ(static_cast<int>(urls.size()), spec.css_images);
   // Full parse also succeeds and yields rules.
   EXPECT_GT(web::parse_css(css->body).rules.size(), 5u);
+}
+
+/// Every URL host_page publishes for `spec`, in hosting order.
+std::vector<std::string> hosted_urls(const PageSpec& spec) {
+  const std::string base = "http://" + spec.site;
+  std::vector<std::string> urls{spec.main_url()};
+  for (int sheet = 0; sheet < spec.css_files; ++sheet) {
+    urls.push_back(base + "/css/s" + std::to_string(sheet) + ".css");
+    for (int image = 0; image < spec.css_images; ++image) {
+      urls.push_back(base + "/img/css" + std::to_string(sheet) + "_" +
+                     std::to_string(image) + ".jpg");
+    }
+  }
+  for (int script = 0; script < spec.js_files; ++script) {
+    urls.push_back(base + "/js/a" + std::to_string(script) + ".js");
+    for (int image = 0; image < spec.js_images; ++image) {
+      urls.push_back(base + "/img/dyn" + std::to_string(script) + "_" +
+                     std::to_string(image) + ".jpg");
+    }
+  }
+  for (int image = 0; image < spec.html_images; ++image) {
+    urls.push_back(base + "/img/h" + std::to_string(image) + ".jpg");
+  }
+  for (int flash = 0; flash < spec.flash_objects; ++flash) {
+    urls.push_back(base + "/media/f" + std::to_string(flash) + ".swf");
+  }
+  return urls;
+}
+
+// The generated bytes, pinned: an FNV-1a digest over the url, kind, size
+// and body of every resource of the 20 Table-3 pages x 4 spec_variants, per
+// generator seed.  Recorded before the generator was rewritten to append in
+// place; any change to a byte or to the order of the RNG draws trips it.
+TEST(Generator, HostedBytesArePinned) {
+  std::vector<PageSpec> pages = mobile_benchmark();
+  for (PageSpec& spec : full_benchmark()) pages.push_back(std::move(spec));
+  std::vector<std::uint64_t> digests;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    std::string bytes;
+    for (const PageSpec& page : pages) {
+      for (const PageSpec& spec : spec_variants(page, 4, seed)) {
+        net::WebServer server;
+        PageGenerator(seed).host_page(spec, server);
+        const std::vector<std::string> urls = hosted_urls(spec);
+        ASSERT_EQ(server.resource_count(), urls.size()) << spec.site;
+        for (const std::string& url : urls) {
+          const net::Resource* resource = server.find(url);
+          ASSERT_NE(resource, nullptr) << url;
+          bytes += resource->url + '\n' +
+                   std::to_string(static_cast<int>(resource->kind)) + ' ' +
+                   std::to_string(resource->size) + '\n' + resource->body;
+        }
+      }
+    }
+    digests.push_back(fnv1a_64(bytes));
+  }
+  EXPECT_EQ(digests, (std::vector<std::uint64_t>{
+                         15489725685951235623ULL, 3993857681279980992ULL,
+                         18280664780398399216ULL}));
 }
 
 TEST(SpecVariants, JitterDeterministicAndDistinct) {

@@ -4,7 +4,9 @@
 // they never crash; web_js_memo_test replays the same JavaScript soups with
 // the script-outcome memo cold and warm, and web_js_resolve_test through the
 // resolved evaluator and the reference AST walker, and both assert
-// identical outcomes.
+// identical outcomes; web_parse_oracle_test parses the markup and CSS soups
+// with the HTML/CSS front end and its pre-rewrite reference and asserts
+// identical results.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,53 @@ inline std::string mutate(Rng& rng, std::string input) {
     default:  // duplicate a chunk
       return input + input.substr(input.size() / 2);
   }
+}
+
+/// A small valid document: head, stylesheet link, entity, image, inline
+/// script and anchor.
+inline constexpr std::string_view kValidHtml =
+    "<!doctype html><html><head><title>t</title>"
+    "<link rel='stylesheet' href='a.css'></head>"
+    "<body><div class='x'><p>hello &amp; goodbye</p>"
+    "<img src='i.jpg' width='10'><script>var a = 1 + 2;</script>"
+    "<a href='n.html'>go</a></div></body></html>";
+
+/// A small valid stylesheet: a selector list, url(), @import and @media.
+inline constexpr std::string_view kValidCss =
+    ".a, div#b .c { color: red; background: url(x.png); }"
+    "@import url(y.css); @media screen { p { margin: 0; } }";
+
+/// The HtmlFuzz soups for one seed: 40 random soups of 50-449 bytes.
+inline std::vector<std::string> html_soups(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> inputs;
+  for (int round = 0; round < 40; ++round) {
+    inputs.push_back(random_soup(rng, 50 + rng.uniform_index(400)));
+  }
+  return inputs;
+}
+
+/// The HtmlFuzz mutations for one seed: 40 damaged copies of kValidHtml.
+inline std::vector<std::string> html_mutations(std::uint64_t seed) {
+  Rng rng(seed ^ 0xABCD);
+  std::vector<std::string> inputs;
+  for (int round = 0; round < 40; ++round) {
+    inputs.push_back(mutate(rng, std::string(kValidHtml)));
+  }
+  return inputs;
+}
+
+/// The CssFuzz inputs for one seed: 60 rounds alternating raw soup with
+/// mutations of kValidCss.
+inline std::vector<std::string> css_fuzz_inputs(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::string> inputs;
+  for (int round = 0; round < 60; ++round) {
+    inputs.push_back(round % 2 == 0
+                         ? random_soup(rng, 30 + rng.uniform_index(300))
+                         : mutate(rng, std::string(kValidCss)));
+  }
+  return inputs;
 }
 
 /// A small valid script exercising loops, modulo and a function call.

@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
+
+#include "util/hash.hpp"
 
 namespace eab {
 namespace {
@@ -103,6 +107,27 @@ TEST(Rng, UniformIndexCoversRangeWithoutBias) {
 TEST(Rng, UniformIndexRejectsZero) {
   Rng rng(1);
   EXPECT_THROW(rng.uniform_index(0), std::invalid_argument);
+}
+
+// The generator's word, paragraph and image-size picks: the first 64 draws
+// for each n from one seeded stream, recorded before uniform_index moved
+// inline, so the corpus bytes cannot drift with the implementation.
+TEST(Rng, UniformIndexDrawsArePinned) {
+  Rng rng(2013);
+  std::string draws;
+  std::vector<std::uint64_t> first;
+  for (const std::uint64_t n : {40, 30, 200, 160}) {
+    for (int i = 0; i < 64; ++i) {
+      const std::uint64_t v = rng.uniform_index(n);
+      ASSERT_LT(v, n);
+      draws += std::to_string(v) + ' ';
+      if (i < 4) first.push_back(v);
+    }
+  }
+  EXPECT_EQ(first, (std::vector<std::uint64_t>{26, 4, 35, 2, 28, 6, 2, 1, 39,
+                                                178, 119, 149, 83, 158,
+                                                100, 35}));
+  EXPECT_EQ(fnv1a_64(draws), 16079193193847018480ULL);
 }
 
 TEST(Rng, NormalMoments) {

@@ -556,6 +556,39 @@ TEST_F(JsFixture, UndefinedLiteral) {
   EXPECT_FALSE(interp.global("differs").truthy());
 }
 
+// --- arrays that contain themselves -------------------------------------------
+//
+// Stringifying an array joins its elements; one already being joined renders
+// as "", as Array.prototype.join does, instead of recursing without end.
+
+TEST_F(JsFixture, SelfContainingArrayWritesEmpty) {
+  const RunResult result =
+      interp.run("var a = [1]; a[0] = a; document.write('' + a);");
+  EXPECT_TRUE(result.completed) << result.error;
+  EXPECT_EQ(result.ops, 14u);
+  ASSERT_EQ(host.writes.size(), 1u);
+  EXPECT_EQ(host.writes[0], "");
+}
+
+TEST_F(JsFixture, SelfContainingArrayJoinsItsOtherElements) {
+  const RunResult result =
+      interp.run("var a = [1]; a[1] = a; document.write('' + a);");
+  EXPECT_TRUE(result.completed) << result.error;
+  EXPECT_EQ(result.ops, 14u);
+  ASSERT_EQ(host.writes.size(), 1u);
+  EXPECT_EQ(host.writes[0], "1,");
+}
+
+TEST_F(JsFixture, SelfContainingArrayCompares) {
+  const RunResult result = interp.run(
+      "var a = [1]; a[1] = a; var same = a == '1,'; var b = [a, 2];"
+      "var nested = b == '1,,2';");
+  EXPECT_TRUE(result.completed) << result.error;
+  EXPECT_EQ(result.ops, 20u);
+  EXPECT_TRUE(interp.global("same").truthy());
+  EXPECT_TRUE(interp.global("nested").truthy());
+}
+
 TEST(JsInterpreter, CallStackOverflowAtSixtyFiveFrames) {
   RecordingHost host;
   Interpreter interp(host);

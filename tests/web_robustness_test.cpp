@@ -10,7 +10,6 @@
 #include "net/fault.hpp"
 #include "net/http_client.hpp"
 #include "support/fuzz_inputs.hpp"
-#include "util/rng.hpp"
 #include "web/css.hpp"
 #include "web/html_parser.hpp"
 #include "web/js.hpp"
@@ -18,22 +17,13 @@
 namespace eab::web {
 namespace {
 
-using test::mutate;
-using test::random_soup;
-
-const char* const kValidHtml =
-    "<!doctype html><html><head><title>t</title>"
-    "<link rel='stylesheet' href='a.css'></head>"
-    "<body><div class='x'><p>hello &amp; goodbye</p>"
-    "<img src='i.jpg' width='10'><script>var a = 1 + 2;</script>"
-    "<a href='n.html'>go</a></div></body></html>";
+using test::kValidCss;
+using test::kValidHtml;
 
 class HtmlFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(HtmlFuzz, SoupNeverCrashesAndRendersSafely) {
-  Rng rng(GetParam());
-  for (int round = 0; round < 40; ++round) {
-    const std::string soup = random_soup(rng, 50 + rng.uniform_index(400));
+  for (const std::string& soup : test::html_soups(GetParam())) {
     ParsedHtml parsed;
     ASSERT_NO_THROW(parsed = parse_html(soup));
     ASSERT_GE(parsed.dom.node_count(), 1u);
@@ -46,9 +36,7 @@ TEST_P(HtmlFuzz, SoupNeverCrashesAndRendersSafely) {
 }
 
 TEST_P(HtmlFuzz, MutatedMarkupKeepsInvariants) {
-  Rng rng(GetParam() ^ 0xABCD);
-  for (int round = 0; round < 40; ++round) {
-    const std::string damaged = mutate(rng, kValidHtml);
+  for (const std::string& damaged : test::html_mutations(GetParam())) {
     ParsedHtml parsed;
     ASSERT_NO_THROW(parsed = parse_html(damaged));
     for (const auto& ref : parsed.references) {
@@ -64,14 +52,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HtmlFuzz, ::testing::Values(1, 2, 3, 4, 5));
 class CssFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CssFuzz, SoupAndMutationsNeverCrash) {
-  Rng rng(GetParam());
-  const std::string valid_css =
-      ".a, div#b .c { color: red; background: url(x.png); }"
-      "@import url(y.css); @media screen { p { margin: 0; } }";
-  for (int round = 0; round < 60; ++round) {
-    const std::string input = round % 2 == 0
-                                  ? random_soup(rng, 30 + rng.uniform_index(300))
-                                  : mutate(rng, valid_css);
+  for (const std::string& input : test::css_fuzz_inputs(GetParam())) {
     ASSERT_NO_THROW(scan_css_urls(input));
     StyleSheet sheet;
     ASSERT_NO_THROW(sheet = parse_css(input));
@@ -167,9 +148,7 @@ TEST_P(NetworkTruncationFuzz, HtmlSurvivesFetchParseLayout) {
 }
 
 TEST_P(NetworkTruncationFuzz, CssSurvivesFetchParseMatch) {
-  const std::string full =
-      ".a, div#b .c { color: red; background: url(x.png); }"
-      "@import url(y.css); @media screen { p { margin: 0; } }";
+  const std::string full(kValidCss);
   for (int round = 0; round < 10; ++round) {
     const std::string partial = truncated_fetch(
         "http://t/" + std::to_string(round) + ".css", net::ResourceKind::kCss,
