@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
 
   core::SessionConfig ours;
   ours.policy = core::SessionPolicy::kAccurate;
-  ours.threshold = 9.0;
+  ours.threshold = core::kPowerDrivenThreshold;
   const Outcome energy_aware = run_with(visits, ours);
   table.add_row({"energy-aware system (Accurate-9)",
                  format_fixed(energy_aware.energy, 0),

@@ -240,19 +240,6 @@ inline core::SupervisorConfig supervisor_config_from_env(
   return config;
 }
 
-/// The auditor inputs for one batched load: the run's own radio config,
-/// retry budget and PowerTimeline integral over the observed window.
-inline obs::AuditInputs make_audit_inputs(const core::StackConfig& config,
-                                          const core::SingleLoadResult& r) {
-  obs::AuditInputs inputs;
-  inputs.rrc = config.rrc;
-  inputs.power = config.power;
-  inputs.max_retries = config.retry.max_retries;
-  inputs.radio_energy = r.energy.radio_j;
-  inputs.t_end = r.energy.window_s;
-  return inputs;
-}
-
 /// Audits every traced result in `results` against `config`, printing each
 /// violation.  Dumps Chrome traces under EAB_TRACE_OUT when set.  Returns
 /// the number of loads whose audit failed (0 = all invariants held).
@@ -271,7 +258,9 @@ inline int audit_results(const std::vector<core::SingleLoadResult>& results,
     const core::SingleLoadResult& r = results[i];
     if (!r.trace) continue;
     ++audited;
-    const auto report = auditor.audit(*r.trace, make_audit_inputs(config, r));
+    const auto report = auditor.audit(
+        *r.trace,
+        core::make_audit_inputs(config, r.energy.radio_j, r.energy.window_s));
     if (!report.ok()) {
       ++failed;
       std::printf("AUDIT FAIL [%s #%zu]:\n%s\n", label.c_str(), i,

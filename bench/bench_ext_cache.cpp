@@ -22,7 +22,7 @@ Totals run(const std::vector<core::PageVisit>& visits,
            core::SessionPolicy policy, bool cache) {
   core::SessionConfig config;
   config.policy = policy;
-  config.threshold = 9.0;
+  config.threshold = core::kPowerDrivenThreshold;
   config.stack.use_browser_cache = cache;
   const auto result = core::run_session(visits, config, 5);
   return {result.energy.with_reading_j, result.total_load_delay};

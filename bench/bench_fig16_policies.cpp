@@ -33,7 +33,7 @@ SessionTotals run_policy(
   core::SessionConfig config;
   config.policy = policy;
   config.threshold = threshold;
-  config.predictor.model = model;
+  config.model = model;
   const bool traced = bench::knobs().flag("EAB_TRACE");
   config.stack.trace = traced;
   std::uint64_t seed = 1;
@@ -46,13 +46,10 @@ SessionTotals run_policy(
     }
     totals.delay += result.total_load_delay;
     if (traced) {
-      obs::AuditInputs inputs;
-      inputs.rrc = config.stack.rrc;
-      inputs.power = config.stack.power;
-      inputs.max_retries = config.stack.retry.max_retries;
-      inputs.radio_energy = result.energy.radio_j;
-      inputs.t_end = result.energy.window_s;
-      const auto report = obs::TraceAuditor().audit(*result.trace, inputs);
+      const auto report = obs::TraceAuditor().audit(
+          *result.trace,
+          core::make_audit_inputs(config.stack, result.energy.radio_j,
+                                  result.energy.window_s));
       if (!report.ok()) {
         ++totals.audit_failures;
         std::printf("AUDIT FAIL [%s user %llu]:\n%s\n",
@@ -119,14 +116,14 @@ int main(int argc, char** argv) {
        "delay -1.47%"},
       {"Energy-Aware Always-off", core::SessionPolicy::kEnergyAwareAlwaysOff, 0,
        false, "delay +9.2%"},
-      {"Accurate-9", core::SessionPolicy::kAccurate, 9.0, false,
-       "power +26.1% (max)"},
-      {"Predict-9", core::SessionPolicy::kPredict, 9.0, true,
-       "slightly below Accurate-9"},
-      {"Accurate-20", core::SessionPolicy::kAccurate, 20.0, false,
-       "delay +13.6% (max)"},
-      {"Predict-20", core::SessionPolicy::kPredict, 20.0, true,
-       "slightly below Accurate-20"},
+      {"Accurate-9", core::SessionPolicy::kAccurate,
+       core::kPowerDrivenThreshold, false, "power +26.1% (max)"},
+      {"Predict-9", core::SessionPolicy::kPredict, core::kPowerDrivenThreshold,
+       true, "slightly below Accurate-9"},
+      {"Accurate-20", core::SessionPolicy::kAccurate,
+       core::kDelayDrivenThreshold, false, "delay +13.6% (max)"},
+      {"Predict-20", core::SessionPolicy::kPredict, core::kDelayDrivenThreshold,
+       true, "slightly below Accurate-20"},
   };
 
   int audit_failures = baseline.audit_failures;

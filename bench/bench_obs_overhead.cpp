@@ -127,7 +127,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < traced.size(); ++i) {
     const auto report = obs::TraceAuditor().audit(
         *traced[i].trace,
-        bench::make_audit_inputs(traced_jobs[i].config, traced[i]));
+        core::make_audit_inputs(traced_jobs[i].config,
+                                traced[i].energy.radio_j,
+                                traced[i].energy.window_s));
     if (!report.ok()) {
       ++audit_failures;
       std::printf("AUDIT FAIL [load %zu]:\n%s\n", i, report.summary().c_str());

@@ -78,8 +78,8 @@ int main() {
 
   core::SessionConfig predictive;
   predictive.policy = core::SessionPolicy::kPredict;
-  predictive.threshold = 9.0;  // power-driven (Tp)
-  predictive.predictor.model = &model;
+  predictive.threshold = core::kPowerDrivenThreshold;
+  predictive.model = &model;
   const auto ours = core::run_session(visits, predictive, 7);
 
   std::printf("user 0 session (%d pages):\n", stock.pages);

@@ -187,13 +187,9 @@ int main(int argc, char** argv) {
   }
 
   // The cross-layer audit: legality, timers, markers, retries, energy.
-  obs::AuditInputs inputs;
-  inputs.rrc = config.rrc;
-  inputs.power = config.power;
-  inputs.max_retries = config.retry.max_retries;
-  inputs.radio_energy = r.energy.radio_j;
-  inputs.t_end = r.energy.window_s;
-  const auto report = obs::TraceAuditor().audit(trace, inputs);
+  const auto report = obs::TraceAuditor().audit(
+      trace,
+      core::make_audit_inputs(config, r.energy.radio_j, r.energy.window_s));
   std::printf("\naudit: %d transitions, %d fetches, trace energy %.6f J vs "
               "timeline %.6f J\n",
               report.transitions_checked, report.fetches_checked,

@@ -326,8 +326,17 @@ echo "== trace audit: benches under EAB_TRACE=1 =="
 # reconciliation).  The benches exit non-zero on any violation or epsilon
 # breach, which fails this script.
 (cd build/bench && EAB_TRACE=1 ./bench_fig10_energy > /dev/null)
-(cd build/bench && EAB_TRACE=1 ./bench_fig16_policies > /dev/null)
+(cd build/bench && EAB_TRACE=1 ./bench_fig16_policies > fig16_traced.txt)
 (cd build/bench && EAB_TRACE=1 ./bench_ext_faults > /dev/null)
 echo "trace audits passed"
+# Recording never schedules events, so tracing must not move a session
+# result: fig16's untraced stdout is its traced stdout minus the audit line.
+(cd build/bench && ./bench_fig16_policies > fig16_untraced.txt)
+grep -v '^audit: ' build/bench/fig16_traced.txt |
+  diff - build/bench/fig16_untraced.txt || {
+  echo "TRACING MOVED bench_fig16_policies stdout (diff above)" >&2
+  exit 1
+}
+echo "fig16 traced == untraced"
 
 echo "== all checks passed =="

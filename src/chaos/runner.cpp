@@ -57,14 +57,10 @@ std::vector<std::string> default_chaos_oracle(
   if (!result.trace) {
     violations.push_back("trace: chaos job produced no recording");
   } else {
-    obs::AuditInputs inputs;
-    inputs.rrc = job.config.rrc;
-    inputs.power = job.config.power;
-    inputs.max_retries = job.config.retry.max_retries;
-    inputs.radio_energy = result.energy.radio_j;
-    inputs.t_end = result.energy.window_s;
-    const obs::TraceAuditor auditor;
-    const obs::AuditReport report = auditor.audit(*result.trace, inputs);
+    const obs::AuditReport report = obs::TraceAuditor().audit(
+        *result.trace,
+        core::make_audit_inputs(job.config, result.energy.radio_j,
+                                result.energy.window_s));
     violations.insert(violations.end(), report.violations.begin(),
                       report.violations.end());
   }

@@ -17,6 +17,7 @@
 #include "core/energy_report.hpp"
 #include "corpus/generator.hpp"
 #include "net/fault.hpp"
+#include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "radio/outage.hpp"
@@ -94,6 +95,20 @@ struct StackConfig {
   /// wedged simulation — an event loop feeding itself — ever trips it.
   std::uint64_t sim_event_budget = 10'000'000;
 };
+
+/// The TraceAuditor's inputs for a recording made under `config`: its radio
+/// config and retry budget, plus the PowerTimeline radio energy integral
+/// over the audited window [0, t_end].
+inline obs::AuditInputs make_audit_inputs(const StackConfig& config,
+                                          Joules radio_energy, Seconds t_end) {
+  obs::AuditInputs inputs;
+  inputs.rrc = config.rrc;
+  inputs.power = config.power;
+  inputs.max_retries = config.retry.max_retries;
+  inputs.radio_energy = radio_energy;
+  inputs.t_end = t_end;
+  return inputs;
+}
 
 /// Everything measured from one load.
 struct SingleLoadResult {

@@ -1,5 +1,6 @@
 #include "core/session.hpp"
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <set>
@@ -17,7 +18,6 @@ const char* to_string(SessionPolicy policy) {
     case SessionPolicy::kEnergyAwareAlwaysOff: return "Energy-Aware Always-off";
     case SessionPolicy::kAccurate: return "Accurate";
     case SessionPolicy::kPredict: return "Predict";
-    case SessionPolicy::kAlgorithm2: return "Algorithm-2";
   }
   return "?";
 }
@@ -33,9 +33,7 @@ bool uses_original_pipeline(SessionPolicy policy) {
 
 SessionResult run_session(const std::vector<PageVisit>& visits,
                           const SessionConfig& config, std::uint64_t seed) {
-  if ((config.policy == SessionPolicy::kPredict ||
-       config.policy == SessionPolicy::kAlgorithm2) &&
-      config.predictor.model == nullptr) {
+  if (config.policy == SessionPolicy::kPredict && config.model == nullptr) {
     throw std::invalid_argument("run_session: this policy needs a model");
   }
   for (const PageVisit& visit : visits) {
@@ -78,6 +76,34 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
     });
   };
 
+  // Algorithm 2, the one decision of kAccurate and kPredict: for a read that
+  // lasts past alpha, switch to IDLE alpha after the page opens if the
+  // reading-time estimate exceeds the threshold.  Only the estimator differs.
+  auto exceeds_threshold = [&config](Seconds estimate) {
+    return estimate > config.threshold;
+  };
+  auto decide_after_alpha = [&](Seconds reading_time,
+                                const browser::PageLoad* opened) {
+    if (reading_time <= config.alpha) return;
+    // The oracle already knows the reading time when the page opens, so a
+    // read it keeps the radio for arms nothing; a model predicts at alpha.
+    const bool oracle = config.policy == SessionPolicy::kAccurate;
+    if (oracle && !exceeds_threshold(reading_time)) return;
+    note(obs::TraceKind::kPolicyAlphaWait, 0, config.alpha);
+    sim.schedule_in(config.alpha, [&, oracle, reading_time, opened] {
+      double predicted = 0;  // the oracle's decision records x = 0
+      if (!oracle) {
+        predicted =
+            std::exp(config.model->predict(opened->features().to_row()));
+        note(obs::TraceKind::kPolicyPrediction, 0, predicted);
+      }
+      const bool switch_now =
+          exceeds_threshold(oracle ? reading_time : predicted);
+      note(obs::TraceKind::kPolicyDecision, switch_now ? 1 : 0, predicted);
+      if (switch_now) switch_to_idle();
+    });
+  };
+
   std::function<void(std::size_t)> visit_page = [&](std::size_t index) {
     if (index >= visits.size()) return;
     const PageVisit& visit = visits[index];
@@ -88,7 +114,7 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
                                  seed ^ (index * 0x9E3779B97F4AULL)));
     browser::PageLoad& load = *loads.back();
 
-    load.start(visit.spec->main_url(), [&, index, clicked_at](
+    load.start(visit.spec->main_url(), [&, index, clicked_at, opened = &load](
                                            const browser::LoadMetrics& m) {
       const PageVisit& current = visits[index];
       const Seconds load_time = m.final_display - clicked_at;
@@ -105,49 +131,8 @@ SessionResult run_session(const std::vector<PageVisit>& visits,
           switch_to_idle();
           break;
         case SessionPolicy::kAccurate:
-          // Oracle: the real reading time, still gated by the interest
-          // threshold exactly as the deployed system would be.
-          if (current.reading_time > config.alpha &&
-              current.reading_time > config.threshold) {
-            note(obs::TraceKind::kPolicyAlphaWait, 0, config.alpha);
-            sim.schedule_in(config.alpha, [&] {
-              note(obs::TraceKind::kPolicyDecision, 1, 0);
-              switch_to_idle();
-            });
-          }
-          break;
         case SessionPolicy::kPredict:
-          if (current.reading_time > config.alpha) {
-            browser::PageLoad* opened = loads.back().get();
-            note(obs::TraceKind::kPolicyAlphaWait, 0, config.alpha);
-            sim.schedule_in(config.alpha, [&, opened] {
-              const Seconds predicted =
-                  config.predictor.predict_seconds(opened->features());
-              const bool switch_now = predicted > config.threshold;
-              note(obs::TraceKind::kPolicyPrediction, 0, predicted);
-              note(obs::TraceKind::kPolicyDecision, switch_now ? 1 : 0,
-                   predicted);
-              if (switch_now) switch_to_idle();
-            });
-          }
-          break;
-        case SessionPolicy::kAlgorithm2:
-          // The paper's Algorithm 2 verbatim: wait alpha, predict Tr,
-          // switch if Tr > Td, or Tr > Tp in power-driven mode.
-          if (current.reading_time > config.controller.alpha) {
-            browser::PageLoad* opened = loads.back().get();
-            note(obs::TraceKind::kPolicyAlphaWait, 0, config.controller.alpha);
-            sim.schedule_in(config.controller.alpha, [&, opened] {
-              const EnergyAwareController controller(config.controller);
-              const Seconds predicted = controller.predict_reading_time(
-                  config.predictor, opened->features());
-              const bool switch_now = controller.should_switch(predicted);
-              note(obs::TraceKind::kPolicyPrediction, 0, predicted);
-              note(obs::TraceKind::kPolicyDecision, switch_now ? 1 : 0,
-                   predicted);
-              if (switch_now) switch_to_idle();
-            });
-          }
+          decide_after_alpha(current.reading_time, opened);
           break;
       }
 

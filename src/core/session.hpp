@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/controller.hpp"
 #include "core/experiment.hpp"
 #include "gbrt/model.hpp"
 
@@ -24,8 +23,14 @@ enum class SessionPolicy {
   kEnergyAwareAlwaysOff, ///< reorganized browser, IDLE as soon as a page opens
   kAccurate,             ///< reorganized browser, oracle reading times
   kPredict,              ///< reorganized browser, GBRT-predicted reading times
-  kAlgorithm2,           ///< the paper's full Algorithm 2 (dual thresholds)
 };
+
+/// Algorithm 2's two reading-time thresholds (paper Table 2).  Algorithm 2
+/// is kPredict with threshold Td in delay-driven mode (never switch unless no
+/// delay penalty is possible) or Tp in power-driven mode (switch whenever
+/// power is saved); Tp < Td, so the power-driven "Td or Tp" is just Tp.
+inline constexpr Seconds kPowerDrivenThreshold = 9.0;   ///< Tp, Fig 3 crossover
+inline constexpr Seconds kDelayDrivenThreshold = 20.0;  ///< Td
 
 const char* to_string(SessionPolicy policy);
 
@@ -43,12 +48,13 @@ struct SessionConfig {
   /// chaos.abort_at is a single-load directive and is ignored.
   StackConfig stack;
   SessionPolicy policy = SessionPolicy::kBaseline;
-  Seconds threshold = 9.0;      ///< Tp or Td for kAccurate / kPredict
+  /// kAccurate / kPredict switch to IDLE when the reading-time estimate
+  /// exceeds this: Tp or Td.
+  Seconds threshold = kPowerDrivenThreshold;
   Seconds alpha = 2.0;          ///< interest threshold before deciding
-  ReadingPredictor predictor;   ///< required for kPredict / kAlgorithm2
-  /// Algorithm 2's parameters (kAlgorithm2 only): Td, Tp and the
-  /// power-driven / delay-driven mode switch.
-  ControllerParams controller;
+  /// kPredict's reading-time model (required there).  It regresses log
+  /// dwell time, as trace::to_log_dataset trains every model.
+  const gbrt::GbrtModel* model = nullptr;
 };
 
 /// Aggregates of one session run.

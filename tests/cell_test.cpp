@@ -228,13 +228,9 @@ TEST(CellTest, GrantExhaustionDropsSessionsAndStaysClean) {
   ASSERT_EQ(result.per_ue.size(), static_cast<std::size_t>(config.users));
   for (const auto& ue : result.per_ue) {
     ASSERT_NE(ue.trace, nullptr);
-    obs::AuditInputs inputs;
-    inputs.rrc = config.per_ue.stack.rrc;
-    inputs.power = config.per_ue.stack.power;
-    inputs.max_retries = config.per_ue.stack.retry.max_retries;
-    inputs.radio_energy = ue.energy.radio_j;
-    inputs.t_end = result.end_time;
-    const auto report = auditor.audit(*ue.trace, inputs);
+    const auto report = auditor.audit(
+        *ue.trace, core::make_audit_inputs(config.per_ue.stack,
+                                           ue.energy.radio_j, result.end_time));
     EXPECT_TRUE(report.ok()) << "ue " << audited << ":\n" << report.summary();
     ++audited;
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "support/result_digest.hpp"
 
 namespace eab::core {
@@ -20,10 +23,57 @@ struct SessionFixture : ::testing::Test {
     SessionConfig config;
     config.policy = policy;
     config.threshold = threshold;
-    config.predictor.model = model;
+    config.model = model;
     return run_session(visits(), config, 1);
   }
 };
+
+/// A model that predicts `seconds` for every page (it regresses log dwell
+/// time, as every trained model does).
+gbrt::GbrtModel constant_model(Seconds seconds) {
+  return gbrt::GbrtModel::assemble(std::log(seconds), 1.0, {});
+}
+
+/// The first value past `t`: the smallest read that is strictly longer.
+Seconds just_past(Seconds t) {
+  return std::nextafter(t, std::numeric_limits<Seconds>::infinity());
+}
+
+/// Runs one m.cnn.com page per read under `config` and returns how many
+/// reads the policy released the radio for.
+int switches_for(const SessionConfig& config,
+                 const std::vector<Seconds>& reads) {
+  const corpus::PageSpec page = corpus::m_cnn_spec();
+  std::vector<PageVisit> visits;
+  for (const Seconds read : reads) visits.push_back({&page, read});
+  return run_session(visits, config, 1).switches_to_idle;
+}
+
+/// The policy steps of a traced session, in order.
+std::vector<obs::TraceEvent> policy_events(const SessionResult& result) {
+  std::vector<obs::TraceEvent> steps;
+  for (const obs::TraceEvent& event : result.trace->events()) {
+    if (event.kind == obs::TraceKind::kPolicyAlphaWait ||
+        event.kind == obs::TraceKind::kPolicyPrediction ||
+        event.kind == obs::TraceKind::kPolicyDecision) {
+      steps.push_back(event);
+    }
+  }
+  return steps;
+}
+
+/// A predictor that splits on page size: the mobile pages of visits() read
+/// for 5 s, the full ESPN page for 30 s, so Predict at 9 s switches on some
+/// pages and keeps the radio on others.
+gbrt::GbrtModel page_size_model() {
+  return gbrt::GbrtModel::assemble(
+      0.0, 1.0,
+      // Node feature:threshold:left:right:value; feature 1 is PageSizeKB
+      // and the leaves hold ln 5 and ln 30.
+      {gbrt::RegressionTree::parse("1:200:1:2:0;"
+                                   "-1:0:-1:-1:1.6094379124341003;"
+                                   "-1:0:-1:-1:3.4011973816621555;")});
+}
 
 TEST_F(SessionFixture, BaselineRunsAllPages) {
   const SessionResult result = run(SessionPolicy::kBaseline);
@@ -63,6 +113,21 @@ TEST_F(SessionFixture, PredictRequiresModel) {
   SessionConfig config;
   config.policy = SessionPolicy::kPredict;
   EXPECT_THROW(run_session(visits(), config, 1), std::invalid_argument);
+  // The oracle needs none.
+  config.policy = SessionPolicy::kAccurate;
+  EXPECT_NO_THROW(run_session(visits(), config, 1));
+}
+
+TEST_F(SessionFixture, Algorithm2RequiresModel) {
+  // Algorithm 2 is kPredict at Td or Tp: neither threshold spares the model.
+  SessionConfig config;
+  config.policy = SessionPolicy::kPredict;
+  for (const Seconds threshold :
+       {kDelayDrivenThreshold, kPowerDrivenThreshold}) {
+    config.threshold = threshold;
+    EXPECT_THROW(run_session(visits(), config, 1), std::invalid_argument)
+        << threshold;
+  }
 }
 
 TEST_F(SessionFixture, NullSpecRejected) {
@@ -114,36 +179,72 @@ TEST_F(SessionFixture, EmptySessionIsHarmless) {
 }
 
 TEST_F(SessionFixture, Algorithm2PowerDrivenSwitchesAboveTp) {
-  // A constant predictor of 12 s: above Tp=9 but below Td=20 — the
-  // power-driven mode switches, the delay-driven mode does not.
-  const auto model = gbrt::GbrtModel::assemble(std::log(12.0), 1.0, {});
-  SessionConfig config;
-  config.policy = SessionPolicy::kAlgorithm2;
-  config.predictor.model = &model;
-  config.controller.mode = DecisionMode::kPowerDriven;
-  const auto power_driven = run_session(visits(), config, 1);
-  // Reads above alpha: all four -> four predictions, all 12 s > Tp.
-  EXPECT_EQ(power_driven.switches_to_idle, 4);
-
-  config.controller.mode = DecisionMode::kDelayDriven;
-  const auto delay_driven = run_session(visits(), config, 1);
-  EXPECT_EQ(delay_driven.switches_to_idle, 0);
+  // Algorithm 2 is kPredict at Tp (power-driven) or Td (delay-driven).  A
+  // constant 12 s predictor sits above Tp = 9 s but below Td = 20 s: every
+  // read past alpha (all four) switches at Tp, none at Td.
+  const auto model = constant_model(12.0);
+  EXPECT_EQ(
+      run(SessionPolicy::kPredict, kPowerDrivenThreshold, &model)
+          .switches_to_idle,
+      4);
+  EXPECT_EQ(
+      run(SessionPolicy::kPredict, kDelayDrivenThreshold, &model)
+          .switches_to_idle,
+      0);
 }
 
 TEST_F(SessionFixture, Algorithm2RespectsTdInBothModes) {
-  const auto model = gbrt::GbrtModel::assemble(std::log(25.0), 1.0, {});
-  SessionConfig config;
-  config.policy = SessionPolicy::kAlgorithm2;
-  config.predictor.model = &model;
-  config.controller.mode = DecisionMode::kDelayDriven;
-  // 25 s > Td = 20 s: even the delay-driven mode switches.
-  EXPECT_EQ(run_session(visits(), config, 1).switches_to_idle, 4);
+  // 25 s > Td = 20 s > Tp: even the delay-driven threshold switches.
+  const auto model = constant_model(25.0);
+  for (const Seconds threshold :
+       {kDelayDrivenThreshold, kPowerDrivenThreshold}) {
+    EXPECT_EQ(run(SessionPolicy::kPredict, threshold, &model).switches_to_idle,
+              4)
+        << threshold;
+  }
 }
 
-TEST_F(SessionFixture, Algorithm2RequiresModel) {
+TEST_F(SessionFixture, ReadOfExactlyAlphaArmsNoWait) {
+  // Only a read that lasts past alpha reaches a decision, whatever the
+  // estimator says.
+  const auto always = constant_model(100.0);
   SessionConfig config;
-  config.policy = SessionPolicy::kAlgorithm2;
-  EXPECT_THROW(run_session(visits(), config, 1), std::invalid_argument);
+  config.stack.trace = true;
+  config.model = &always;
+  for (const SessionPolicy policy :
+       {SessionPolicy::kAccurate, SessionPolicy::kPredict}) {
+    config.policy = policy;
+    config.threshold = 1.0;  // below alpha: the oracle would switch too
+    const auto at = run_session({{&mobile, config.alpha}}, config, 1);
+    EXPECT_EQ(at.switches_to_idle, 0) << to_string(policy);
+    EXPECT_TRUE(policy_events(at).empty()) << to_string(policy);
+    const auto past = run_session({{&mobile, just_past(config.alpha)}}, config,
+                                  1);
+    EXPECT_EQ(past.switches_to_idle, 1) << to_string(policy);
+    EXPECT_EQ(past.trace->count(obs::TraceKind::kPolicyAlphaWait), 1u)
+        << to_string(policy);
+  }
+}
+
+TEST_F(SessionFixture, AccurateDecidesWhenThePageOpens) {
+  // The oracle knows the reading time when the page opens: a read it keeps
+  // the radio for records nothing, a read it switches on waits alpha and
+  // records its decision with x = 0, and it never records a prediction.
+  SessionConfig config;
+  config.policy = SessionPolicy::kAccurate;
+  config.stack.trace = true;
+  const auto kept = run_session({{&mobile, 8.0}}, config, 1);
+  EXPECT_TRUE(policy_events(kept).empty());
+
+  const auto released = run_session({{&mobile, 25.0}}, config, 1);
+  const std::vector<obs::TraceEvent> steps = policy_events(released);
+  ASSERT_EQ(steps.size(), 2u);
+  EXPECT_EQ(steps[0].kind, obs::TraceKind::kPolicyAlphaWait);
+  EXPECT_EQ(steps[0].x, config.alpha);
+  EXPECT_EQ(steps[1].kind, obs::TraceKind::kPolicyDecision);
+  EXPECT_EQ(steps[1].a, 1);
+  EXPECT_EQ(steps[1].x, 0.0);
+  EXPECT_DOUBLE_EQ(steps[1].t - steps[0].t, config.alpha);
 }
 
 /// The stack variants the run_session pins cover: each switches on one
@@ -159,9 +260,13 @@ TEST_F(SessionFixture, RunSessionIsByteIdenticalToTheRecordedBuild) {
   // trace export (tests/support/result_digest.hpp), recorded before the UE
   // stack assembly was shared between run_single, run_session and the
   // cell.  The outage variant declares radio-link failures mid-session.
+  // The kPredict row was recorded before the three reading-time policies
+  // became one threshold rule.
+  const gbrt::GbrtModel model = page_size_model();
   const SessionPolicy policies[] = {
       SessionPolicy::kBaseline, SessionPolicy::kOriginalAlwaysOff,
-      SessionPolicy::kEnergyAwareAlwaysOff, SessionPolicy::kAccurate};
+      SessionPolicy::kEnergyAwareAlwaysOff, SessionPolicy::kAccurate,
+      SessionPolicy::kPredict};
   // Columns: plain, faults, outage, RIL failures, all with tracing.
   const std::uint64_t pins[std::size(policies)][std::size(kSessionVariants)] =
       {
@@ -177,6 +282,9 @@ TEST_F(SessionFixture, RunSessionIsByteIdenticalToTheRecordedBuild) {
           // kAccurate
           {0xaf860adf0a878750ULL, 0xbae659beb44c341bULL, 0x71de817341251af9ULL,
            0xe142a87343bbc162ULL, 0x42610b0c8b9b3025ULL},
+          // kPredict
+          {0x6dc33da45109c592ULL, 0xe7890702a94c9908ULL, 0xe60e8b4282b9c945ULL,
+           0x3a5ede62fcd04773ULL, 0x051327a59eb868d3ULL},
       };
   int rlf = 0, socket_failures = 0;
   for (std::size_t p = 0; p < std::size(policies); ++p) {
@@ -186,6 +294,7 @@ TEST_F(SessionFixture, RunSessionIsByteIdenticalToTheRecordedBuild) {
       SessionConfig config;
       config.policy = policies[p];
       config.threshold = 9.0;
+      config.model = &model;
       if (variant == SessionVariant::kFaults || all) {
         net::FaultPlan& faults = config.stack.fault_plan;
         faults.seed = 11;
@@ -213,6 +322,12 @@ TEST_F(SessionFixture, RunSessionIsByteIdenticalToTheRecordedBuild) {
       config.stack.trace = all;
       const SessionResult result = run_session(visits(), config, 1);
       EXPECT_EQ(result.trace != nullptr, all);
+      if (policies[p] == SessionPolicy::kPredict && !all &&
+          variant != SessionVariant::kRil) {
+        // Both branches of the decision: only the full page switches (the
+        // RIL variants' socket failures swallow that one request).
+        EXPECT_EQ(result.switches_to_idle, 1) << "variant " << v;
+      }
       rlf += result.rlf_count;
       socket_failures += result.ril_socket_failures;
       const std::uint64_t digest = test::result_digest(result);
@@ -230,7 +345,94 @@ TEST(SessionPolicyNames, AllDistinct) {
   EXPECT_STREQ(to_string(SessionPolicy::kBaseline), "Original");
   EXPECT_STREQ(to_string(SessionPolicy::kAccurate), "Accurate");
   EXPECT_STREQ(to_string(SessionPolicy::kPredict), "Predict");
-  EXPECT_STREQ(to_string(SessionPolicy::kAlgorithm2), "Algorithm-2");
+}
+
+// Algorithm 2's switch rule, run through whole sessions: the oracle's
+// reads and the model's predictions meet the same strict threshold.
+
+TEST(Controller, DelayDrivenSwitchesOnlyAboveTd) {
+  SessionConfig config;
+  config.policy = SessionPolicy::kAccurate;
+  config.threshold = kDelayDrivenThreshold;
+  // 10 s is above Tp but not Td; a read of exactly Td keeps the radio.
+  EXPECT_EQ(switches_for(config, {5.0, 10.0, kDelayDrivenThreshold}), 0);
+  EXPECT_EQ(
+      switches_for(config, {just_past(kDelayDrivenThreshold), 20.1, 600.0}),
+      3);
+}
+
+TEST(Controller, PowerDrivenSwitchesAboveTp) {
+  SessionConfig config;
+  config.policy = SessionPolicy::kAccurate;
+  config.threshold = kPowerDrivenThreshold;
+  EXPECT_EQ(switches_for(config, {8.9, kPowerDrivenThreshold}), 0);
+  EXPECT_EQ(
+      switches_for(config, {just_past(kPowerDrivenThreshold), 9.1, 25.0}), 3);
+}
+
+TEST(Controller, CustomThresholds) {
+  // Any threshold works: a 6 s prediction clears 5 s but neither 12 s nor
+  // exactly itself, a 13 s prediction clears 12 s.
+  const auto six = constant_model(6.0);
+  const auto thirteen = constant_model(13.0);
+  SessionConfig config;
+  config.policy = SessionPolicy::kPredict;
+  config.model = &six;
+  config.threshold = 5.0;
+  EXPECT_EQ(switches_for(config, {30.0, 30.0}), 2);
+  config.threshold = 12.0;
+  EXPECT_EQ(switches_for(config, {30.0, 30.0}), 0);
+  config.threshold = std::exp(std::log(6.0));
+  EXPECT_EQ(switches_for(config, {30.0, 30.0}), 0);
+  config.model = &thirteen;
+  EXPECT_EQ(switches_for(config, {30.0, 30.0}), 2);
+}
+
+TEST(Controller, PaperDefaultsMatchTable2) {
+  EXPECT_EQ(kPowerDrivenThreshold, 9.0);   // Tp, Fig 3 crossover
+  EXPECT_EQ(kDelayDrivenThreshold, 20.0);  // Td
+  const SessionConfig config;
+  EXPECT_EQ(config.alpha, 2.0);
+  EXPECT_EQ(config.threshold, kPowerDrivenThreshold);
+  EXPECT_EQ(config.model, nullptr);
+}
+
+TEST(Controller, PredictsThroughPredictor) {
+  // A model predicts alpha after the page opens, records the prediction and
+  // decides on it: 50 s clears Td.
+  const auto model = constant_model(50.0);
+  const corpus::PageSpec page = corpus::m_cnn_spec();
+  SessionConfig config;
+  config.policy = SessionPolicy::kPredict;
+  config.threshold = kDelayDrivenThreshold;
+  config.model = &model;
+  config.stack.trace = true;
+  const auto result = run_session({{&page, 30.0}}, config, 1);
+  const std::vector<obs::TraceEvent> steps = policy_events(result);
+  ASSERT_EQ(steps.size(), 3u);
+  EXPECT_EQ(steps[0].kind, obs::TraceKind::kPolicyAlphaWait);
+  EXPECT_EQ(steps[1].kind, obs::TraceKind::kPolicyPrediction);
+  EXPECT_EQ(steps[2].kind, obs::TraceKind::kPolicyDecision);
+  EXPECT_DOUBLE_EQ(steps[1].t - steps[0].t, config.alpha);
+  EXPECT_NEAR(steps[1].x, 50.0, 1e-9);
+  EXPECT_EQ(steps[2].x, steps[1].x);
+  EXPECT_EQ(steps[2].a, 1);
+  EXPECT_EQ(result.switches_to_idle, 1);
+}
+
+TEST(ReadingPredictor, LogDomainConversion) {
+  // Every model regresses log dwell time (trace::to_log_dataset), so a
+  // model that outputs ln(30) predicts 30 s.
+  const auto model = gbrt::GbrtModel::assemble(std::log(30.0), 1.0, {});
+  const corpus::PageSpec page = corpus::m_cnn_spec();
+  SessionConfig config;
+  config.policy = SessionPolicy::kPredict;
+  config.model = &model;
+  config.stack.trace = true;
+  const auto result = run_session({{&page, 30.0}}, config, 1);
+  const std::vector<obs::TraceEvent> steps = policy_events(result);
+  ASSERT_EQ(steps.size(), 3u);
+  EXPECT_NEAR(steps[1].x, 30.0, 1e-9);
 }
 
 }  // namespace

@@ -104,15 +104,11 @@ void expect_clean(MetroRig& rig, const char* context) {
   EXPECT_EQ(r0.grant_overcommits, 0u) << context;
   EXPECT_EQ(r1.grant_overcommits, 0u) << context;
 
-  obs::AuditInputs inputs;
-  inputs.rrc = rig.config0.per_ue.stack.rrc;
-  inputs.power = rig.config0.per_ue.stack.power;
-  inputs.max_retries = rig.config0.per_ue.stack.retry.max_retries;
-  inputs.radio_energy = rig.ue->rrc.power().energy(0.0, t_end);
-  inputs.t_end = t_end;
   ASSERT_NE(rig.ue->trace, nullptr) << context;
-  const obs::AuditReport report =
-      obs::TraceAuditor().audit(*rig.ue->trace, inputs);
+  const obs::AuditReport report = obs::TraceAuditor().audit(
+      *rig.ue->trace,
+      core::make_audit_inputs(rig.config0.per_ue.stack,
+                              rig.ue->rrc.power().energy(0.0, t_end), t_end));
   EXPECT_TRUE(report.ok()) << context << "\n" << report.summary();
 }
 

@@ -357,13 +357,10 @@ TEST(MetroTest, TracedMobilityRunAuditsCleanPerUe) {
   for (const cell::CellResult& cr : result.cells) {
     for (const cell::UeStats& ue : cr.per_ue) {
       ASSERT_NE(ue.trace, nullptr);
-      obs::AuditInputs inputs;
-      inputs.rrc = config.cell.per_ue.stack.rrc;
-      inputs.power = config.cell.per_ue.stack.power;
-      inputs.max_retries = config.cell.per_ue.stack.retry.max_retries;
-      inputs.radio_energy = ue.energy.radio_j;
-      inputs.t_end = result.end_time;
-      const auto report = auditor.audit(*ue.trace, inputs);
+      const auto report = auditor.audit(
+          *ue.trace,
+          core::make_audit_inputs(config.cell.per_ue.stack, ue.energy.radio_j,
+                                  result.end_time));
       EXPECT_TRUE(report.ok()) << "ue " << audited << ":\n"
                                << report.summary();
       ++audited;

@@ -73,13 +73,7 @@ core::Scenario scenario_of(const core::StackConfig& config,
 
 AuditInputs inputs_for(const core::StackConfig& config,
                        const core::SingleLoadResult& r) {
-  AuditInputs inputs;
-  inputs.rrc = config.rrc;
-  inputs.power = config.power;
-  inputs.max_retries = config.retry.max_retries;
-  inputs.radio_energy = r.energy.radio_j;
-  inputs.t_end = r.energy.window_s;
-  return inputs;
+  return core::make_audit_inputs(config, r.energy.radio_j, r.energy.window_s);
 }
 
 TEST(TraceRecorder, InternsStringsStably) {
@@ -277,13 +271,10 @@ TEST(Audit, SessionPoliciesPass) {
     const auto result = core::run_session(visits, config, 5);
     ASSERT_TRUE(result.trace);
     EXPECT_GT(result.trace->size(), 0u);
-    AuditInputs inputs;
-    inputs.rrc = config.stack.rrc;
-    inputs.power = config.stack.power;
-    inputs.max_retries = config.stack.retry.max_retries;
-    inputs.radio_energy = result.energy.radio_j;
-    inputs.t_end = result.energy.window_s;
-    const auto report = TraceAuditor().audit(*result.trace, inputs);
+    const auto report = TraceAuditor().audit(
+        *result.trace, core::make_audit_inputs(config.stack,
+                                               result.energy.radio_j,
+                                               result.energy.window_s));
     EXPECT_TRUE(report.ok())
         << core::to_string(policy) << ":\n" << report.summary();
   }
@@ -302,12 +293,10 @@ TEST(Audit, SessionWithRilFailurePasses) {
   ASSERT_TRUE(result.trace);
   EXPECT_EQ(result.ril_socket_failures, 1);
   EXPECT_EQ(result.trace->count(TraceKind::kRilSocketFailure), 1u);
-  AuditInputs inputs;
-  inputs.rrc = config.stack.rrc;
-  inputs.power = config.stack.power;
-  inputs.radio_energy = result.energy.radio_j;
-  inputs.t_end = result.energy.window_s;
-  const auto report = TraceAuditor().audit(*result.trace, inputs);
+  const auto report = TraceAuditor().audit(
+      *result.trace, core::make_audit_inputs(config.stack,
+                                             result.energy.radio_j,
+                                             result.energy.window_s));
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
