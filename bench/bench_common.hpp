@@ -6,10 +6,10 @@
 // table/figure from scratch when run.
 //
 // All page loads issued from here go through one process-wide BatchRunner:
-// independent loads fan out over a thread pool (EAB_JOBS workers) and repeat
-// loads — e.g. a figure re-measuring pages an earlier table already loaded —
-// come back from the memo cache.  Results are in submission order, so every
-// number printed is bit-identical to the old serial loops.
+// independent loads fan out over a thread pool (EAB_JOBS workers, strictly
+// parsed by the knob registry).  Every load is simulated and results come
+// back in submission order, so every number printed is bit-identical to the
+// old serial loops at any worker count.
 #pragma once
 
 #include <cctype>
@@ -59,10 +59,11 @@ inline void print_script_memo_stats() {
                static_cast<unsigned long long>(s.bytes));
 }
 
-/// The process-wide batch engine every harness shares: one thread pool plus
-/// one memo cache, so paired Original/Energy-Aware sweeps reuse loads.
+/// The process-wide batch engine every harness shares: one thread pool of
+/// EAB_JOBS workers (unset = hardware concurrency).
 inline core::BatchRunner& shared_runner() {
-  static core::BatchRunner runner;
+  static core::BatchRunner runner(
+      static_cast<int>(knobs().u64_or("EAB_JOBS", 0)));
   return runner;
 }
 
@@ -81,7 +82,7 @@ inline std::vector<core::SingleLoadResult> run_loads(
 }
 
 /// 64 distinct jobs: both benchmarks, both pipeline modes, per-job derived
-/// seeds — every memo key unique, so the pool (not the cache) does the work.
+/// seeds.
 inline std::vector<core::BatchJob> mixed_sweep(bool traced = false) {
   std::vector<corpus::PageSpec> pool = corpus::mobile_benchmark();
   const auto full = corpus::full_benchmark();

@@ -28,8 +28,7 @@ using namespace eab;
 std::vector<Seconds> service_times(const std::vector<corpus::PageSpec>& specs,
                                    browser::PipelineMode mode,
                                    const capacity::CapacityConfig& config) {
-  // One batched sweep per mode; the shared memo cache also means the Fig 10
-  // harness (same specs, same configs) would reuse these loads in-process.
+  // One batched sweep per mode on the shared runner.
   return cell::measure_service_times(specs, mode, config,
                                      bench::shared_runner());
 }

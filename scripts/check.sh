@@ -52,12 +52,33 @@ run_parse_oracle() {
   for pid in "${pids[@]}"; do wait "$pid"; done
 }
 
+echo "== batch: worker-count determinism =="
+# EAB_JOBS promises bit-identical results for any worker count.  Each bench
+# runs serially and on four workers, from its own directory per count; stdout
+# and every artifact it writes must match byte for byte.
+jobs_dir=build/bench/jobs_check
+rm -rf "$jobs_dir"
+for n in 1 4; do
+  mkdir -p "$jobs_dir/j$n"
+  for b in bench_fig08_transmission_time bench_fig10_energy bench_ext_faults \
+      bench_ext_chaos; do
+    (cd "$jobs_dir/j$n" && EAB_JOBS=$n EAB_CHAOS_SEEDS=32 "../../$b" \
+      > "$b.stdout.txt")
+  done
+done
+diff <(ls "$jobs_dir/j1") <(ls "$jobs_dir/j4")
+for f in "$jobs_dir"/j1/*; do
+  cmp "$f" "$jobs_dir/j4/$(basename "$f")"
+done
+echo "$(ls "$jobs_dir/j1" | wc -l) files byte-identical at EAB_JOBS=1 and 4"
+
 echo "== TSan: core_batch_test under -fsanitize=thread =="
 cmake -B build-tsan -S . -DEAB_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target core_batch_test \
   --target web_js_memo_test
-# Force multiple workers even on small machines so the pool is exercised.
-EAB_JOBS=4 ./build-tsan/tests/core_batch_test
+# Every pooled test there pins its own worker count (2 or 4), so the pool
+# is exercised even on a one-core machine.
+./build-tsan/tests/core_batch_test
 # The script-outcome memo is one per process: four BatchRunner workers race
 # lookups, admissions and replays of the same chain on it.
 ./build-tsan/tests/web_js_memo_test \

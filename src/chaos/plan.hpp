@@ -12,10 +12,9 @@
 //
 // apply_chaos folds a scenario into an ordinary core::BatchJob.  Everything
 // an atom perturbs is plain StackConfig data (fault plan rates, RRC timers,
-// pipeline cost scales, ChaosDirectives), all of it serialized into
-// batch_memo_key, so chaos jobs flow through the unmodified BatchRunner —
-// memoisation, parallel fan-out and metrics merging included — and a sweep
-// is bit-identical serial or parallel.
+// pipeline cost scales, ChaosDirectives), so chaos jobs flow through the
+// unmodified BatchRunner — parallel fan-out, quarantine and metrics merging
+// included — and a sweep is bit-identical serial or parallel.
 #pragma once
 
 #include <array>

@@ -70,8 +70,8 @@ std::vector<std::string> default_chaos_oracle(
 /// Sweeps seeded chaos scenarios through a shared batch engine.
 class ChaosRunner {
  public:
-  /// The runner borrows `batch` (not owned); its memo cache makes repeated
-  /// ddmin probes of the same subset free.
+  /// The runner borrows `batch` (not owned).  Every check() and ddmin probe
+  /// is a fresh batch run; a healthy sweep makes no probes.
   explicit ChaosRunner(core::BatchRunner& batch) : batch_(batch) {}
 
   /// Replaces the invariant oracle (tests plant bugs here).  An empty

@@ -5,8 +5,8 @@
 // that re-runs a subset, find a locally-minimal subset that still fails —
 // removing any single remaining atom makes the failure disappear.  Because
 // every scenario re-run is a pure function of its (seed, atoms) identity,
-// the predicate is stable and the shrink is reproducible; the memo cache in
-// BatchRunner even makes repeated subset probes cheap.
+// the predicate is stable and the shrink is reproducible.  Every probe is a
+// fresh simulation, including a subset probed twice.
 #pragma once
 
 #include <functional>

@@ -5,27 +5,18 @@
 // WebServer and radio, so they parallelise perfectly.  BatchRunner fans
 // (PageSpec, StackConfig, reading window, seed) jobs out over a fixed thread
 // pool and returns results in submission order, so a batched sweep is
-// bit-identical to the serial loop it replaces.
-//
-// A content-addressed memo cache sits in front of the pool: each job is
-// serialised to a canonical byte key (batch_memo_key) hashed with FNV-1a,
-// and jobs whose keys match an already-computed load — paired
-// Original/Energy-Aware sweeps re-measuring the same pages, the page
-// library's repeated per-variant feature loads — reuse the stored
-// SingleLoadResult instead of simulating again.  Scenario::run_single is a
-// pure function of the key's fields, which is what makes memoisation sound.
+// bit-identical to the serial loop it replaces.  Every job is simulated:
+// the runner keeps no results between or within batches.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "util/hash.hpp"
 
 namespace eab::core {
 
@@ -37,46 +28,35 @@ struct BatchJob {
   std::uint64_t seed = 1;
 };
 
-/// Canonical byte encoding of everything Scenario::run_single's output
-/// depends on: every PageSpec field, every StackConfig field (including the
-/// nested radio, power, link, pipeline and chaos configs), the reading
-/// window and the seed.  Two jobs with equal keys produce bit-identical
-/// SingleLoadResults.
-/// NOTE: any new field added to PageSpec or StackConfig (the fault plan,
-/// retry policy and chaos directives included) must be written into the key
-/// too, or loads differing only in that field would collide in the cache.
-std::string batch_memo_key(const BatchJob& job);
-
 /// One quarantined batch job: the load threw instead of returning.  The
-/// runner records what happened — exception text, the job's memo-key digest
-/// and its seed (enough to re-run the exact load in isolation) — fills the
+/// runner records what happened — exception text and the job's seed (with
+/// the index, enough to re-run the exact load in isolation) — fills the
 /// job's result slot with a value-initialized SingleLoadResult, and keeps
 /// going; one poisoned configuration no longer aborts a 500-job sweep.
 struct JobError {
-  std::size_t index = 0;          ///< submission-order slot in the batch
-  std::string what;               ///< exception text ("unknown exception" if not std::exception)
-  std::uint64_t key_digest = 0;   ///< fnv1a_64(batch_memo_key(job))
-  std::uint64_t seed = 0;         ///< the job's seed (chaos scenarios key off this)
+  std::size_t index = 0;   ///< submission-order slot in the batch
+  std::string what;        ///< exception text ("unknown exception" if not std::exception)
+  std::uint64_t seed = 0;  ///< the job's seed (chaos scenarios key off this)
 };
 
-/// Fixed-size thread pool + memo cache for batches of single-load jobs.
+/// Fixed-size thread pool for batches of single-load jobs and indexed
+/// shards.
 class BatchRunner {
  public:
-  /// `jobs` > 0 pins the worker count; 0 resolves it from the EAB_JOBS
-  /// environment variable, falling back to hardware_concurrency().  A runner
-  /// with one worker executes jobs inline on the calling thread.
+  /// `jobs` > 0 pins the worker count (capped at 1024); <= 0 resolves to
+  /// hardware_concurrency().  The environment is never read here: harnesses
+  /// pass their strictly parsed EAB_JOBS knob.  A runner with one worker
+  /// executes jobs inline on the calling thread.
   explicit BatchRunner(int jobs = 0);
   ~BatchRunner();
 
   BatchRunner(const BatchRunner&) = delete;
   BatchRunner& operator=(const BatchRunner&) = delete;
 
-  /// Runs every job and returns results in submission order.  Jobs with
-  /// identical memo keys are simulated once; previously-run keys are served
-  /// from the cache.  A job that throws is quarantined, never rethrown: its
-  /// slot holds a value-initialized SingleLoadResult, a JobError describing
-  /// the failure is available from last_errors(), the poisoned key is NOT
-  /// committed to the memo cache, and every other job still completes.
+  /// Runs every job and returns results in submission order.  A job that
+  /// throws is quarantined, never rethrown: its slot holds a
+  /// value-initialized SingleLoadResult, a JobError describing the failure
+  /// is available from last_errors(), and every other job still completes.
   std::vector<SingleLoadResult> run(const std::vector<BatchJob>& jobs);
 
   /// Quarantined jobs from the most recent run(), sorted by submission
@@ -90,45 +70,34 @@ class BatchRunner {
   /// the completion handshake publishes the writes.  Blocks until every
   /// index has run; if any invocation threw, rethrows the lowest-index
   /// failure as std::runtime_error after the batch completes (deterministic
-  /// regardless of worker scheduling).  The memo cache is not involved: use
-  /// run() for single-load jobs.
+  /// regardless of worker scheduling).
   void run_indexed(std::size_t count, const std::function<void(std::size_t)>& fn);
 
   /// Worker threads this runner uses (1 = serial).
   int threads() const { return threads_; }
 
-  /// Jobs served from the memo cache (including duplicates within a batch).
-  std::size_t cache_hits() const { return cache_hits_; }
-  /// Jobs that required an actual simulation.
-  std::size_t cache_misses() const { return cache_misses_; }
-  /// Distinct loads currently memoised.
-  std::size_t cache_size() const { return cache_.size(); }
-  void clear_cache() { cache_.clear(); }
-
   /// Accumulated metrics over every job this runner has executed: each
   /// job's per-load registry (SingleLoadResult::job_metrics) merged in
   /// submission order — the merge order, and therefore the snapshot, is
   /// identical whether the runner had one worker or many — plus batch.jobs
-  /// and batch.memo_hits counters for the engine itself.
+  /// and batch.quarantined counters for the engine itself.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   void clear_metrics() { metrics_ = {}; }
 
-  /// EAB_JOBS / hardware_concurrency resolution (exposed for tests).
+  /// Worker-count resolution (exposed for tests): `requested` > 0 capped at
+  /// 1024, else hardware_concurrency() (at least 1).
   static int resolve_jobs(int requested);
 
  private:
-  struct Fnv1aHash {
-    std::size_t operator()(const std::string& key) const {
-      return static_cast<std::size_t>(fnv1a_64(key));
-    }
-  };
   class Pool;
+
+  /// The one dispatch loop: runs fn(0) .. fn(count-1) on the pool or inline
+  /// and returns each index's exception text (nullopt where fn returned).
+  std::vector<std::optional<std::string>> dispatch(
+      std::size_t count, const std::function<void(std::size_t)>& fn);
 
   int threads_ = 1;
   std::unique_ptr<Pool> pool_;  ///< null when threads_ == 1
-  std::unordered_map<std::string, SingleLoadResult, Fnv1aHash> cache_;
-  std::size_t cache_hits_ = 0;
-  std::size_t cache_misses_ = 0;
   std::vector<JobError> last_errors_;
   obs::MetricsRegistry metrics_;
 };

@@ -29,9 +29,9 @@ namespace eab::core {
 /// Runtime disturbances the chaos engine injects into one load — the fault
 /// domains that cannot be expressed as plain config perturbations (timer
 /// drift and CPU slowdown just rescale RrcConfig / ComputeCostModel fields).
-/// All fields are plain data serialised into batch_memo_key; the zero value
-/// schedules nothing, so a default ChaosDirectives leaves the event stream
-/// byte-identical to a stack built before this struct existed.
+/// All fields are plain data carried by the job that uses them; the zero
+/// value schedules nothing, so a default ChaosDirectives leaves the event
+/// stream byte-identical to a stack built before this struct existed.
 struct ChaosDirectives {
   /// User abort: the load is gracefully abandoned at this simulated time
   /// (PageLoad::abort tears down fetches, link flows and transfer markers).

@@ -14,10 +14,9 @@
 //    the same fate on its n-th attempt under Original and Energy-Aware
 //    alike, which is what makes "identical DOM given identical fault
 //    outcomes" a testable invariant.
-//  * Memo-cache soundness.  A FaultPlan is plain data carried inside
-//    core::StackConfig; every field is serialised into batch_memo_key
-//    (DESIGN.md §6b), so two loads differing only in their faults never
-//    collide in the batch engine's cache.
+//  * Plain data.  A FaultPlan is carried inside core::StackConfig, so a
+//    batch job's faults travel with it to whichever worker runs the load
+//    (DESIGN.md §6b) and a reproducer replays them exactly.
 //
 // Fade windows are scheduled up front (a bounded count, so simulations
 // always drain), pausing the SharedLink: in-flight flows stop draining and

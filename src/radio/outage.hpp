@@ -10,9 +10,8 @@
 //    Rng(derive_seed(seed, kOutageWindowStream ^ ue_id)) and nothing else, so
 //    a cell sweep computes identical windows regardless of sharding, and the
 //    re-establishment success stream is a pure per-UE sequence as well.
-//  * Memo-cache soundness.  The plan is plain data carried inside
-//    core::StackConfig; every field is serialised into batch_memo_key, so two
-//    loads differing only in their outages never collide in the memo cache.
+//  * Plain data.  The plan is carried inside core::StackConfig, so a batch
+//    job's outages travel with it to whichever worker runs the load.
 //
 // The plan itself knows nothing about the RRC machine or the shared link —
 // net::OutageInjector (net/outage.hpp) turns the windows into radio_link_down

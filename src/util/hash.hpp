@@ -1,9 +1,9 @@
-// Stable byte hashing shared by the batch memo cache and the fault layer.
+// Stable byte hashing for the fault layer and the checkpoint journal.
 //
 // FNV-1a is used everywhere a key must hash identically across runs,
-// platforms and standard libraries: the batch engine's content-addressed
-// memo cache and the fault injector's per-URL decision seeding both depend
-// on the exact 64-bit value, so std::hash (unspecified) is not an option.
+// platforms and standard libraries: the fault injector's per-URL decision
+// seeding depends on the exact 64-bit value, so std::hash (unspecified) is
+// not an option.
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,7 @@
 #include "bench_common.hpp"
 #include "core/scenario.hpp"
 #include "corpus/page_spec.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace eab::core {
@@ -90,17 +91,11 @@ TEST(BatchRunner, ParallelMatchesSerialElementwise) {
   }
 }
 
-TEST(BatchRunner, MemoCacheHitsReturnIdenticalResults) {
+TEST(BatchRunner, RepeatedRunsAreIdentical) {
   const auto jobs = sweep_jobs(4);
   BatchRunner runner(2);
   const auto first = runner.run(jobs);
-  EXPECT_EQ(runner.cache_hits(), 0u);
-  EXPECT_EQ(runner.cache_misses(), jobs.size());
-  EXPECT_EQ(runner.cache_size(), jobs.size());
-
   const auto second = runner.run(jobs);
-  EXPECT_EQ(runner.cache_hits(), jobs.size());
-  EXPECT_EQ(runner.cache_misses(), jobs.size());
   ASSERT_EQ(second.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     SCOPED_TRACE(i);
@@ -108,34 +103,11 @@ TEST(BatchRunner, MemoCacheHitsReturnIdenticalResults) {
   }
 }
 
-TEST(BatchRunner, DuplicateJobsWithinBatchComputedOnce) {
-  auto jobs = sweep_jobs(2);
-  jobs.push_back(jobs[0]);  // exact duplicate of job 0
-  jobs.push_back(jobs[1]);  // exact duplicate of job 1
-  BatchRunner runner(2);
-  const auto results = runner.run(jobs);
-  EXPECT_EQ(runner.cache_misses(), 2u);  // only the distinct keys simulated
-  EXPECT_EQ(runner.cache_hits(), 2u);    // duplicates served from the batch
-  expect_identical(results[0], results[2]);
-  expect_identical(results[1], results[3]);
-}
-
-TEST(BatchRunner, ClearCacheForcesRecomputation) {
-  const auto jobs = sweep_jobs(2);
-  BatchRunner runner(2);
-  const auto first = runner.run(jobs);
-  runner.clear_cache();
-  EXPECT_EQ(runner.cache_size(), 0u);
-  const auto second = runner.run(jobs);
-  EXPECT_EQ(runner.cache_misses(), 2 * jobs.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    expect_identical(first[i], second[i]);
-  }
-}
-
 TEST(BatchRunner, EabJobsOneDegradesToSerial) {
+  // Harnesses read EAB_JOBS through the strict knob registry and pass the
+  // count explicitly; EAB_JOBS=1 yields an inline, serial runner.
   ASSERT_EQ(setenv("EAB_JOBS", "1", 1), 0);
-  BatchRunner runner;  // resolves from the environment
+  BatchRunner runner(static_cast<int>(bench::knobs().u64_or("EAB_JOBS", 0)));
   unsetenv("EAB_JOBS");
   EXPECT_EQ(runner.threads(), 1);
 
@@ -149,69 +121,23 @@ TEST(BatchRunner, EabJobsOneDegradesToSerial) {
 }
 
 TEST(BatchRunner, ResolveJobsPrecedence) {
+  const int hardware = BatchRunner::resolve_jobs(0);
+  EXPECT_GE(hardware, 1);
+  EXPECT_EQ(BatchRunner::resolve_jobs(-3), hardware);  // <= 0: hardware
+  EXPECT_EQ(BatchRunner::resolve_jobs(7), 7);          // explicit count wins
+  EXPECT_EQ(BatchRunner::resolve_jobs(5000), 1024);    // capped, no threads
+  // The environment is not consulted: EAB_JOBS is the harnesses' knob.
   ASSERT_EQ(setenv("EAB_JOBS", "3", 1), 0);
-  EXPECT_EQ(BatchRunner::resolve_jobs(0), 3);   // env wins when unpinned
-  EXPECT_EQ(BatchRunner::resolve_jobs(7), 7);   // explicit request wins
-  ASSERT_EQ(setenv("EAB_JOBS", "not-a-number", 1), 0);
-  EXPECT_GE(BatchRunner::resolve_jobs(0), 1);   // garbage falls back
+  EXPECT_EQ(BatchRunner::resolve_jobs(0), hardware);
+  EXPECT_EQ(BatchRunner::resolve_jobs(7), 7);
   unsetenv("EAB_JOBS");
-  EXPECT_GE(BatchRunner::resolve_jobs(0), 1);
 }
 
 TEST(BatchRunner, EmptyBatchReturnsEmpty) {
   BatchRunner runner(2);
   EXPECT_TRUE(runner.run({}).empty());
-  EXPECT_EQ(runner.cache_hits(), 0u);
-  EXPECT_EQ(runner.cache_misses(), 0u);
-}
-
-TEST(BatchMemoKey, DistinguishesEveryKeyedInput) {
-  BatchJob base;
-  base.spec = tiny_spec(0);
-  base.config = ScenarioBuilder(browser::PipelineMode::kOriginal).build().stack;
-  const auto key = batch_memo_key(base);
-
-  auto other = base;
-  other.seed += 1;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.reading_window += 1.0;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.spec.html_bytes += 1;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.pipeline.mode = browser::PipelineMode::kEnergyAware;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.rrc.t1 += 0.5;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.force_idle_at_tx = !other.config.force_idle_at_tx;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.chaos.abort_at = 2.0;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.chaos.ril_socket_failures = 1;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.chaos.cache_storm_count = 1;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  other = base;
-  other.config.sim_event_budget /= 2;
-  EXPECT_NE(key, batch_memo_key(other));
-
-  EXPECT_EQ(key, batch_memo_key(base));  // and it is deterministic
+  EXPECT_TRUE(runner.last_errors().empty());
+  EXPECT_EQ(runner.metrics().value("batch.jobs"), 0.0);
 }
 
 /// A configuration Scenario::run_single rejects up front (stalls with no
@@ -238,7 +164,6 @@ TEST(BatchQuarantine, ThrowingJobIsIsolatedAndBatchCompletes) {
   const JobError& error = runner.last_errors()[0];
   EXPECT_EQ(error.index, 3u);
   EXPECT_NE(error.what.find("stall_rate"), std::string::npos) << error.what;
-  EXPECT_EQ(error.key_digest, fnv1a_64(batch_memo_key(jobs[3])));
   EXPECT_EQ(error.seed, 424242u);
 
   // The quarantined slot is value-initialized; every other job completed.
@@ -269,23 +194,20 @@ TEST(BatchQuarantine, SerialAndParallelQuarantinesAreIdentical) {
   ASSERT_EQ(parallel.last_errors().size(), 1u);
   EXPECT_EQ(serial.last_errors()[0].index, parallel.last_errors()[0].index);
   EXPECT_EQ(serial.last_errors()[0].what, parallel.last_errors()[0].what);
-  EXPECT_EQ(serial.last_errors()[0].key_digest,
-            parallel.last_errors()[0].key_digest);
+  EXPECT_EQ(serial.last_errors()[0].seed, parallel.last_errors()[0].seed);
   EXPECT_TRUE(serial.metrics().same_as(parallel.metrics()));
 }
 
-TEST(BatchQuarantine, PoisonedKeyIsNeverCachedAndErrorsReset) {
+TEST(BatchQuarantine, ErrorsResetBetweenRuns) {
   const std::vector<BatchJob> jobs = {poisoned_job()};
   BatchRunner runner(1);
   runner.run(jobs);
   EXPECT_EQ(runner.last_errors().size(), 1u);
-  EXPECT_EQ(runner.cache_size(), 0u);
 
-  // Re-running retries the load (no stale cache entry) and still reports
-  // exactly one error, not an accumulated two.
+  // Re-running retries the load and still reports exactly one error, not
+  // an accumulated two.
   runner.run(jobs);
   EXPECT_EQ(runner.last_errors().size(), 1u);
-  EXPECT_EQ(runner.cache_misses(), 2u);
 
   // A healthy batch clears the quarantine list.
   runner.run(sweep_jobs(2));
@@ -421,6 +343,21 @@ TEST(EnvParsingDeathTest, MalformedWorkerCountDiesLoudly) {
   EXPECT_EXIT(bench::knobs().u64_or("EAB_WORKERS", 0),
               ::testing::ExitedWithCode(2), "EAB_WORKERS");
   unsetenv("EAB_WORKERS");
+}
+
+TEST(EnvParsingDeathTest, MalformedJobCountDiesLoudly) {
+  // The count only ever reaches BatchRunner through this getter, so a value
+  // it rejects can no longer fall back to hardware concurrency silently.
+  for (const char* bad : {"abc", "0", "-3", "5000", "1025", "4 "}) {
+    SCOPED_TRACE(bad);
+    setenv("EAB_JOBS", bad, 1);
+    EXPECT_EXIT(bench::knobs().u64_or("EAB_JOBS", 0),
+                ::testing::ExitedWithCode(2), "EAB_JOBS");
+  }
+  setenv("EAB_JOBS", "1024", 1);
+  EXPECT_EQ(bench::knobs().u64_or("EAB_JOBS", 0), 1024u);
+  unsetenv("EAB_JOBS");
+  EXPECT_EQ(bench::knobs().u64_or("EAB_JOBS", 0), 0u);  // resolve default
 }
 
 TEST(EnvParsingDeathTest, MalformedSelfChaosSeedDiesLoudly) {

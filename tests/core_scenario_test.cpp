@@ -1,8 +1,7 @@
 // ScenarioBuilder: the unified assembly path for every experiment.
 //
-// The default builder must reproduce StackConfig{} byte for byte (the memo
-// key is a canonical serialization of every StackConfig field, so key
-// equality is field-by-field equality), ScenarioBuilder(mode) must couple
+// The default builder must reproduce StackConfig{} byte for byte (pinned by
+// whole-result digests of run_single), ScenarioBuilder(mode) must couple
 // fast dormancy to the pipeline mode, and build()-time validation must
 // reject the contradictory-knob combinations that used to surface as hangs
 // or silent no-ops deep inside a run.
@@ -10,7 +9,6 @@
 
 #include <stdexcept>
 
-#include "core/batch.hpp"
 #include "core/scenario.hpp"
 #include "corpus/page_spec.hpp"
 #include "support/result_digest.hpp"
@@ -18,28 +16,25 @@
 namespace eab::core {
 namespace {
 
-std::string key_of(const StackConfig& config) {
-  BatchJob job;
-  job.spec = corpus::m_cnn_spec();
-  job.config = config;
-  return batch_memo_key(job);
-}
-
 TEST(ScenarioBuilder, DefaultsMatchDefaultStackConfig) {
-  // The canonical serialization covers every StackConfig field: equal keys
-  // mean the builder reproduces the pre-builder defaults exactly.
-  EXPECT_EQ(key_of(ScenarioBuilder().build().stack), key_of(StackConfig{}));
-}
-
-TEST(ScenarioBuilder, MemoKeyCoversHandoverFields) {
-  const StackConfig base;
-  StackConfig delay = base;
-  delay.rrc.handover_delay += 0.1;
-  StackConfig power = base;
-  power.rrc.handover_power += 0.1;
-  EXPECT_NE(key_of(delay), key_of(base));
-  EXPECT_NE(key_of(power), key_of(base));
-  EXPECT_NE(key_of(delay), key_of(power));
+  // Every output field of a load, traced and untraced, on a mobile and a
+  // full-benchmark page: the builder's defaults change nothing a run
+  // reports.
+  const corpus::PageSpec pages[] = {corpus::m_cnn_spec(),
+                                    corpus::full_benchmark().front()};
+  for (const corpus::PageSpec& page : pages) {
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE(page.site + (traced ? " traced" : " untraced"));
+      StackConfig stack;
+      stack.trace = traced;
+      const SingleLoadResult built =
+          ScenarioBuilder().trace(traced).build().run_single(page);
+      const SingleLoadResult plain =
+          ScenarioBuilder().stack(stack).build().run_single(page);
+      EXPECT_EQ(built.trace != nullptr, traced);
+      EXPECT_EQ(test::result_digest(built), test::result_digest(plain));
+    }
+  }
 }
 
 TEST(ScenarioBuilder, ModeCouplesFastDormancy) {

@@ -385,23 +385,6 @@ TEST(Batch, SerialAndParallelProduceIdenticalObservability) {
   }
 }
 
-TEST(Batch, TraceFlagIsPartOfMemoKey) {
-  core::BatchJob traced;
-  traced.spec = tiny_spec(0);
-  traced.config = traced_config(browser::PipelineMode::kEnergyAware);
-  auto plain = traced;
-  plain.config.trace = false;
-  EXPECT_NE(core::batch_memo_key(traced), core::batch_memo_key(plain));
-
-  // An untraced job must not be served a traced recording from the cache.
-  core::BatchRunner runner(1);
-  const auto first = runner.run({traced});
-  const auto second = runner.run({plain});
-  EXPECT_NE(first[0].trace, nullptr);
-  EXPECT_EQ(second[0].trace, nullptr);
-  EXPECT_EQ(first[0].sim_events, second[0].sim_events);
-}
-
 TEST(ChromeTrace, ExportsParseableRecords) {
   const auto config = traced_config(browser::PipelineMode::kEnergyAware);
   const auto r = scenario_of(config).run_single(tiny_spec(0));
