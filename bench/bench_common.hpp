@@ -12,6 +12,7 @@
 // old serial loops at any worker count.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -19,12 +20,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/batch.hpp"
 #include "core/scenario.hpp"
 #include "core/supervisor.hpp"
+#include "core/sweep.hpp"
 #include "corpus/page_spec.hpp"
 #include "knobs.hpp"
 #include "obs/audit.hpp"
@@ -103,9 +107,8 @@ inline std::vector<core::BatchJob> mixed_sweep(bool traced = false) {
 /// Average single-load results over a list of specs.
 struct BenchmarkAverages {
   double tx_time = 0;        ///< mean data transmission time (s)
-  double total_time = 0;     ///< mean load time (s)
+  double total_time = 0;     ///< mean load time = final-display time (s)
   double first_display = 0;  ///< mean first-display time (s)
-  double final_display = 0;  ///< mean final-display time (s)
   double load_energy = 0;    ///< mean load energy (J)
   double energy_20s = 0;     ///< mean energy incl. 20 s reading (J)
   double dch_time = 0;       ///< mean DCH residency (s)
@@ -121,7 +124,6 @@ inline BenchmarkAverages averages_of(
     avg.tx_time += r.metrics.transmission_time();
     avg.total_time += r.metrics.total_time();
     avg.first_display += r.metrics.first_display - r.metrics.started;
-    avg.final_display += r.metrics.total_time();
     avg.load_energy += r.energy.load_j;
     avg.energy_20s += r.energy.with_reading_j;
     avg.dch_time += r.dch_time;
@@ -130,7 +132,6 @@ inline BenchmarkAverages averages_of(
   avg.tx_time /= n;
   avg.total_time /= n;
   avg.first_display /= n;
-  avg.final_display /= n;
   avg.load_energy /= n;
   avg.energy_20s /= n;
   avg.dch_time /= n;
@@ -205,14 +206,44 @@ inline bool write_artifact(const std::string& path, std::string_view contents) {
   return true;
 }
 
-/// Assembles the supervised-sweep config from the environment knobs.
-/// `journal_name` is the per-sweep journal file under EAB_CHECKPOINT_DIR;
-/// `fingerprint` guards the journal against resumption by a different sweep.
-/// Every knob is strictly parsed against the registry (exit 2 on anything
-/// malformed or out of its bounds):
-///   EAB_WORKERS           concurrent worker processes; unset or empty
-///                         resolves to hardware_concurrency, else [1, 1024]
-///   EAB_CHECKPOINT_DIR    directory for the durable checkpoint journal;
+/// The identity a supervised sweep writes into its checkpoint journal and
+/// checks on every resume: the journal name, then one "NAME=value" line per
+/// registered knob (unset and empty both read as empty).  Knobs that only
+/// choose where work runs or where files go are left out, so a journal
+/// resumes under another EAB_JOBS or self-chaos schedule; every other
+/// knob, including any added to the registry later, is in by construction,
+/// so a resume cannot merge results computed under other settings.
+inline std::string journal_fingerprint(const std::string& journal) {
+  static constexpr std::string_view kPlacementOnly[] = {
+      "EAB_JOBS",         "EAB_SUPERVISE",        "EAB_CHECKPOINT_DIR",
+      "EAB_SELF_CHAOS",   "EAB_SELF_CHAOS_KILLS", "EAB_SELF_CHAOS_ORC",
+      "EAB_PROGRESS",     "EAB_TRACE_OUT",        "EAB_CHAOS_OUT"};
+  std::string fingerprint = journal;
+  for (const KnobSpec& spec : knobs().specs()) {
+    if (std::find(std::begin(kPlacementOnly), std::end(kPlacementOnly),
+                  spec.name) != std::end(kPlacementOnly)) {
+      continue;
+    }
+    const char* raw = std::getenv(spec.name);
+    fingerprint += '\n';
+    fingerprint += spec.name;
+    fingerprint += '=';
+    if (raw != nullptr) fingerprint += raw;
+  }
+  return fingerprint;
+}
+
+/// Runs a bench's sweep: shard(i) for i in [0, count), consumed in index
+/// order (core/sweep.hpp).  By default the shards run on the shared
+/// runner's threads.  EAB_SUPERVISE=1 runs them in forked,
+/// heartbeat-supervised worker processes instead, with the same bytes
+/// consumed; the supervision report goes to stderr.  Every knob below is
+/// strictly parsed against the registry (exit 2 on anything malformed):
+///   EAB_JOBS              shards running at once (threads, or worker
+///                         processes when supervised); unset = hardware
+///                         concurrency
+///   EAB_CHECKPOINT_DIR    directory for the durable checkpoint journal
+///                         `journal`, fingerprinted by journal_fingerprint;
 ///                         empty = supervise without durability (no resume)
 ///   EAB_SELF_CHAOS        seed for the supervisor's self-chaos kill schedule
 ///                         (0/unset = off); the crash-recovery soak sets it
@@ -225,20 +256,40 @@ inline bool write_artifact(const std::string& path, std::string_view contents) {
 ///                         EAB_SELF_CHAOS and EAB_CHECKPOINT_DIR)
 ///   EAB_PROGRESS=1        live wall-clock progress lines on stderr (~1 Hz);
 ///                         purely observational, results are bit-identical
-inline core::SupervisorConfig supervisor_config_from_env(
-    const std::string& journal_name, const std::string& fingerprint) {
+/// Returns false after printing each failed shard, or why the journal could
+/// not be resumed, on stderr.  In process, a shard failure propagates as an
+/// exception instead.
+template <typename Shard, typename Consume, typename Encode, typename Decode>
+bool sweep(const std::string& journal, std::size_t count, Shard&& shard,
+           Consume&& consume, Encode&& encode, Decode&& decode) {
+  if (!knobs().flag("EAB_SUPERVISE")) {
+    core::sweep(shared_runner(), count, shard, consume);
+    return true;
+  }
   core::SupervisorConfig config;
-  // 0 = resolve_workers default (hardware concurrency).
-  config.workers = static_cast<int>(knobs().u64_or("EAB_WORKERS", 0));
+  config.workers = static_cast<int>(knobs().u64_or("EAB_JOBS", 0));
   const std::string dir = knobs().path_or_empty("EAB_CHECKPOINT_DIR");
-  if (!dir.empty()) config.checkpoint_path = dir + "/" + journal_name;
-  config.fingerprint = fingerprint;
+  if (!dir.empty()) config.checkpoint_path = dir + "/" + journal;
+  config.fingerprint = journal_fingerprint(journal);
   config.self_chaos_seed = knobs().u64_or("EAB_SELF_CHAOS", 0);
   config.self_chaos_worker_kills =
       static_cast<int>(knobs().u64_or("EAB_SELF_CHAOS_KILLS", 0));
   config.self_chaos_kill_orchestrator = knobs().flag("EAB_SELF_CHAOS_ORC");
   config.progress = knobs().flag("EAB_PROGRESS");
-  return config;
+  core::Supervisor supervisor(config);
+  core::SupervisorReport report;
+  try {
+    report = core::sweep(supervisor, count, shard, consume, encode, decode);
+  } catch (const std::exception& e) {  // a torn or foreign journal
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return false;
+  }
+  std::fprintf(stderr, "%s\n", report.summary().c_str());
+  for (const core::ShardError& e : report.errors) {
+    std::fprintf(stderr, "supervisor: shard %zu failed: %s\n", e.shard,
+                 e.what.c_str());
+  }
+  return report.ok();
 }
 
 /// Audits every traced result in `results` against `config`, printing each

@@ -208,13 +208,11 @@ int run_cell_mode() {
 
   // The co-simulated curves: one sweep covers both modes — shard i < n is
   // the Original curve's i-th point, shard n + i the energy-aware one's.
-  // Default: the shards spread across the shared BatchRunner's threads
-  // (bit-identical to a serial loop for any EAB_JOBS).  EAB_SUPERVISE=1: the
-  // same shards fan out over forked, heartbeat-supervised worker processes
-  // with durable checkpoint resume under EAB_CHECKPOINT_DIR; stdout,
-  // BENCH_cell.json and the metrics snapshot are byte-identical to the
-  // in-process path (the supervision report goes to stderr, outside the
-  // deterministic output).
+  // By default the shards spread across the shared BatchRunner's threads;
+  // EAB_SUPERVISE=1 fans them out over forked, heartbeat-supervised worker
+  // processes with durable checkpoint resume under EAB_CHECKPOINT_DIR.
+  // stdout, BENCH_cell.json and the metrics snapshot are byte-identical
+  // either way, for any EAB_JOBS (the supervision report goes to stderr).
   const std::size_t n = users_axis.size();
   const cell::CellConfig orig_base =
       cell_config(browser::PipelineMode::kOriginal, params);
@@ -222,66 +220,19 @@ int run_cell_mode() {
       cell_config(browser::PipelineMode::kEnergyAware, params);
   std::vector<cell::CellResult> orig_results(n);
   std::vector<cell::CellResult> ea_results(n);
-  core::SweepDriver<cell::CellResult> driver;
-  driver
-      .shard([&](std::size_t shard) {
+  const bool swept = bench::sweep(
+      "fig11_cell.journal", 2 * n,
+      [&](std::size_t shard) {
         cell::CellConfig config = shard < n ? orig_base : ea_base;
         config.users = users_axis[shard % n];
         return cell::run_cell(config);
-      })
-      .codec(cell::serialize_cell_result,
-             [](std::string_view payload) {
-               return cell::deserialize_cell_result(payload);
-             })
-      .consume([&](std::size_t shard, cell::CellResult&& result) {
+      },
+      [&](std::size_t shard, cell::CellResult&& result) {
         (shard < n ? orig_results[shard] : ea_results[shard - n]) =
             std::move(result);
-      });
-  if (!bench::knobs().flag("EAB_SUPERVISE")) {
-    driver.run(2 * n, core::SweepExecution::pooled(bench::shared_runner()));
-  } else {
-    std::string fingerprint = "fig11-cell v1";
-    bench::appendf(fingerprint,
-                   " seed=%llu channels=%d horizon=%.17g target=%.17g",
-                   static_cast<unsigned long long>(params.seed),
-                   params.channels, params.horizon, params.target);
-    if (g_telemetry_tick > 0) {
-      // Only when sampling is on: a telemetry-off supervised run keeps the
-      // exact pre-telemetry fingerprint, so its journals stay resumable.
-      bench::appendf(fingerprint, " telemetry_tick=%.17g telemetry_budget=%zu",
-                     g_telemetry_tick, g_telemetry_budget);
-    }
-    if (params.ue_outage.enabled()) {
-      // Same convention as telemetry: an outage-off run keeps the exact
-      // pre-outage fingerprint, so existing journals stay resumable.
-      bench::appendf(fingerprint,
-                     " ue_outage=%d:%.17g:%.17g:%.17g:%.17g:%llu",
-                     params.ue_outage.count, params.ue_outage.start,
-                     params.ue_outage.period, params.ue_outage.duration,
-                     params.ue_outage.reestablish_fail_rate,
-                     static_cast<unsigned long long>(params.ue_outage.seed));
-    }
-    if (params.cell_outage_count > 0) {
-      bench::appendf(fingerprint, " cell_outage=%d:%.17g:%.17g:%.17g",
-                     params.cell_outage_count, params.cell_outage_start,
-                     params.cell_outage_period, params.cell_outage_duration);
-    }
-    for (const int users : users_axis) {
-      bench::appendf(fingerprint, " u%d", users);
-    }
-    core::Supervisor supervisor(
-        bench::supervisor_config_from_env("fig11_cell.journal", fingerprint));
-    const core::SupervisorReport report =
-        driver.run(2 * n, core::SweepExecution::supervised(supervisor));
-    std::fprintf(stderr, "%s\n", report.summary().c_str());
-    if (!report.ok()) {
-      for (const core::ShardError& e : report.errors) {
-        std::fprintf(stderr, "supervisor: shard %zu failed: %s\n", e.shard,
-                     e.what.c_str());
-      }
-      return 1;
-    }
-  }
+      },
+      cell::serialize_cell_result, cell::deserialize_cell_result);
+  if (!swept) return 1;
 
   // The abstract model, scaled to the same small cell, for the side-by-side
   // column: measured service times, same channels/horizon.
@@ -448,7 +399,7 @@ int main(int argc, char** argv) {
            "EAB_OUTAGE_COUNT", "EAB_OUTAGE_START", "EAB_OUTAGE_PERIOD",
            "EAB_OUTAGE_DURATION", "EAB_OUTAGE_FAIL_RATE", "EAB_OUTAGE_SEED",
            "EAB_TELEMETRY", "EAB_TELEMETRY_TICK", "EAB_TELEMETRY_BUDGET",
-           "EAB_SUPERVISE", "EAB_WORKERS", "EAB_CHECKPOINT_DIR",
+           "EAB_SUPERVISE", "EAB_CHECKPOINT_DIR",
            "EAB_SELF_CHAOS", "EAB_SELF_CHAOS_KILLS", "EAB_SELF_CHAOS_ORC",
            "EAB_PROGRESS", "EAB_JOBS"})) {
     return 0;

@@ -23,9 +23,10 @@ void report(const std::string& label, const std::vector<corpus::PageSpec>& specs
                  format_fixed(ea.first_display, 1),
                  format_percent(bench::saving(orig.first_display, ea.first_display)),
                  paper_first >= 0 ? format_percent(paper_first) : "-"});
-  table.add_row({"final display (s)", format_fixed(orig.final_display, 1),
-                 format_fixed(ea.final_display, 1),
-                 format_percent(bench::saving(orig.final_display, ea.final_display)),
+  // The final display is the end of the load, so its mean is total_time.
+  table.add_row({"final display (s)", format_fixed(orig.total_time, 1),
+                 format_fixed(ea.total_time, 1),
+                 format_percent(bench::saving(orig.total_time, ea.total_time)),
                  format_percent(paper_final)});
   std::printf("%s\n", table.render().c_str());
 }

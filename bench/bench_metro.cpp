@@ -18,8 +18,9 @@
 // Execution mirrors bench_fig11_capacity --cell: the default path runs the
 // sweep through the shared in-process pool; EAB_SUPERVISE=1 moves it onto
 // forked, heartbeat-supervised workers with durable checkpoint resume under
-// EAB_CHECKPOINT_DIR.  stdout and BENCH_metro.json are byte-identical
-// across serial and supervised execution — check.sh gates this.
+// EAB_CHECKPOINT_DIR (bench::sweep).  stdout and BENCH_metro.json are
+// byte-identical across in-process and supervised execution — check.sh
+// gates this.
 // Aggregation is streaming: the sweep consumer folds each MetroResult into
 // per-point summaries as it arrives and drops the full result (no
 // vectors-of-results across the axis).
@@ -98,7 +99,7 @@ metro::MetroConfig metro_config(browser::PipelineMode mode,
   cell::CellConfig cell;
   cell.per_ue = core::ScenarioBuilder(mode).build();
   cell.specs = corpus::mobile_benchmark();
-  cell.users = params.max_users;  // run_metro_sweep overrides per point
+  cell.users = params.max_users;  // sweep_mode overrides per point
   cell.channels = 6;
   cell.horizon = params.horizon;
   cell.cell_seed = params.seed;
@@ -111,48 +112,24 @@ metro::MetroConfig metro_config(browser::PipelineMode mode,
       .build();
 }
 
-/// Runs the per-cell-users sweep for one mode through the selected
-/// execution tier, folding each result into a PointSummary on arrival.
-/// Returns false (after printing the shard errors) if supervision failed.
+/// Runs the per-cell-users sweep for one mode (bench::sweep: in process, or
+/// supervised under EAB_SUPERVISE=1), folding each result into a
+/// PointSummary on arrival.  Returns false if a supervised shard failed.
 bool sweep_mode(const char* label, const metro::MetroConfig& base,
-                const std::vector<int>& users_axis, const MetroParams& params,
+                const std::vector<int>& users_axis,
                 std::vector<PointSummary>& out) {
   out.assign(users_axis.size(), PointSummary{});
-  const auto consume = [&](std::size_t i, const metro::MetroResult& result) {
-    out[i] = summarize(users_axis[i], result);
-  };
-  core::SupervisorReport report;
-  if (bench::knobs().flag("EAB_SUPERVISE")) {
-    std::string fingerprint = "metro v1";
-    bench::appendf(fingerprint,
-                   " mode=%s grid=%dx%d seed=%llu horizon=%.17g"
-                   " dwell=%.17g hotspot=%.17g policy=%s",
-                   label, params.grid_w, params.grid_h,
-                   static_cast<unsigned long long>(params.seed),
-                   params.horizon, params.dwell, params.hotspot,
-                   metro::to_string(params.policy));
-    for (const int users : users_axis) {
-      bench::appendf(fingerprint, " u%d", users);
-    }
-    core::Supervisor supervisor(bench::supervisor_config_from_env(
-        std::string("metro_") + label + ".journal", fingerprint));
-    report = metro::run_metro_sweep(
-        base, users_axis, core::SweepExecution::supervised(supervisor),
-        consume);
-    std::fprintf(stderr, "%s\n", report.summary().c_str());
-  } else {
-    report = metro::run_metro_sweep(
-        base, users_axis, core::SweepExecution::pooled(bench::shared_runner()),
-        consume);
-  }
-  if (!report.ok()) {
-    for (const core::ShardError& e : report.errors) {
-      std::fprintf(stderr, "supervisor: shard %zu failed: %s\n", e.shard,
-                   e.what.c_str());
-    }
-    return false;
-  }
-  return true;
+  return bench::sweep(
+      std::string("metro_") + label + ".journal", users_axis.size(),
+      [&](std::size_t i) {
+        metro::MetroConfig config = base;
+        config.cell.users = users_axis[i];
+        return metro::run_metro(config);
+      },
+      [&](std::size_t i, metro::MetroResult&& result) {
+        out[i] = summarize(users_axis[i], result);
+      },
+      metro::serialize_metro_result, metro::deserialize_metro_result);
 }
 
 }  // namespace
@@ -165,9 +142,9 @@ int main(int argc, char** argv) {
           {"EAB_METRO_GRID_W", "EAB_METRO_GRID_H", "EAB_METRO_USERS",
            "EAB_METRO_SEED", "EAB_METRO_HORIZON", "EAB_METRO_DWELL",
            "EAB_METRO_HOTSPOT", "EAB_METRO_INSTANT", "EAB_METRO_SCALE",
-           "EAB_SUPERVISE", "EAB_WORKERS",
-           "EAB_CHECKPOINT_DIR", "EAB_SELF_CHAOS", "EAB_SELF_CHAOS_KILLS",
-           "EAB_SELF_CHAOS_ORC", "EAB_PROGRESS", "EAB_JOBS"})) {
+           "EAB_SUPERVISE", "EAB_CHECKPOINT_DIR", "EAB_SELF_CHAOS",
+           "EAB_SELF_CHAOS_KILLS", "EAB_SELF_CHAOS_ORC", "EAB_PROGRESS",
+           "EAB_JOBS"})) {
     return 0;
   }
   bench::print_header("Metro",
@@ -203,11 +180,11 @@ int main(int argc, char** argv) {
   std::vector<PointSummary> orig;
   std::vector<PointSummary> ea;
   if (!sweep_mode("orig", metro_config(browser::PipelineMode::kOriginal, params),
-                  users_axis, params, orig)) {
+                  users_axis, orig)) {
     return 1;
   }
   if (!sweep_mode("ea", metro_config(browser::PipelineMode::kEnergyAware, params),
-                  users_axis, params, ea)) {
+                  users_axis, ea)) {
     return 1;
   }
 
@@ -247,7 +224,8 @@ int main(int argc, char** argv) {
   // the dwell time (shorter dwell = more handovers) and compare the hard
   // policy against the idealized instant one on the energy-aware pipeline.
   // Each point is one in-process run, folded immediately — results are
-  // identical on every tier, so the artifact stays byte-comparable.
+  // identical in process and supervised, so the artifact stays
+  // byte-comparable.
   std::vector<Seconds> dwell_axis;
   if (params.dwell > 0) {
     dwell_axis = {0.0, 4 * params.dwell, 2 * params.dwell, params.dwell,
@@ -306,7 +284,7 @@ int main(int argc, char** argv) {
     std::vector<PointSummary> out;
     if (!sweep_mode("scale",
                     metro_config(browser::PipelineMode::kEnergyAware, p),
-                    {p.max_users}, p, out)) {
+                    {p.max_users}, out)) {
       return 1;
     }
     scale = out[0];

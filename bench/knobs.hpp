@@ -82,7 +82,7 @@ enum class KnobType {
 
 /// One declared environment knob.
 struct KnobSpec {
-  const char* name;      ///< "EAB_WORKERS"
+  const char* name;      ///< "EAB_JOBS"
   KnobType type;
   const char* fallback;  ///< human-readable default for --help
   const char* expected;  ///< exact text of the exit-2 diagnostic
@@ -95,7 +95,7 @@ struct KnobSpec {
 
 /// The process-wide knob table plus its typed strict getters.  Unset or
 /// empty always yields the caller's fallback unchecked (so a sentinel like
-/// EAB_WORKERS's "0 = resolve from hardware" stays expressible); a SET value
+/// EAB_JOBS's "0 = resolve from hardware" stays expressible); a SET value
 /// must parse and satisfy the spec's bounds or the process exits 2 with the
 /// spec's expected-text.
 class KnobRegistry {
@@ -210,15 +210,13 @@ class KnobRegistry {
 
     // Parallel / supervised execution.
     u64_knob("EAB_JOBS", "hardware concurrency",
-             "a worker thread count in [1, 1024]",
-             "worker threads for the in-process batch runner "
-             "(results are bit-identical for any value)", 1, 1024);
+             "a worker count in [1, 1024]",
+             "shards running at once: threads, or forked worker processes "
+             "under EAB_SUPERVISE=1 (results are bit-identical for any "
+             "value)", 1, 1024);
     flag_knob("EAB_SUPERVISE",
               "run supporting sweeps under forked, heartbeat-supervised "
               "worker processes (bit-identical results)");
-    u64_knob("EAB_WORKERS", "hardware concurrency",
-             "a worker count in [1, 1024]",
-             "concurrent worker processes for supervised sweeps", 1, 1024);
     path_knob("EAB_CHECKPOINT_DIR",
               "directory for supervised sweeps' durable checkpoint journals "
               "(enables crash resume)");

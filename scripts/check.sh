@@ -198,7 +198,7 @@ cp build/bench/BENCH_cell.json "$soak/ref_cell.json"
 cp build/bench/BENCH_cell.metrics.json "$soak/ref_cell.metrics.json"
 
 # Supervised but uninterrupted: forked workers, same bytes.
-(cd build/bench && env $soak_env EAB_SUPERVISE=1 EAB_WORKERS=2 \
+(cd build/bench && env $soak_env EAB_SUPERVISE=1 EAB_JOBS=2 \
   ./bench_fig11_capacity --cell > soak/sup_stdout.txt 2> soak/sup_stderr.txt)
 cmp "$soak/ref_stdout.txt" "$soak/sup_stdout.txt"
 cmp "$soak/ref_cell.json" build/bench/BENCH_cell.json
@@ -213,7 +213,7 @@ for chaos_seed in 77 101 202; do
   rm -rf "$soak/ckpt"
   mkdir -p "$soak/ckpt"
   relaunches=0
-  until (cd build/bench && env $soak_env EAB_SUPERVISE=1 EAB_WORKERS=2 \
+  until (cd build/bench && env $soak_env EAB_SUPERVISE=1 EAB_JOBS=2 \
       EAB_CHECKPOINT_DIR="soak/ckpt" EAB_SELF_CHAOS="$chaos_seed" \
       EAB_SELF_CHAOS_KILLS=16 EAB_SELF_CHAOS_ORC=1 \
       ./bench_fig11_capacity --cell > soak/chaos_stdout.txt \
@@ -238,6 +238,35 @@ if [ "$kills" -lt 8 ] || [ "$orc_kills" -lt 1 ]; then
 fi
 echo "crash recovery byte-identical under $kills SIGKILLs"
 
+# The journal's fingerprint is built from the knob registry: relaunched on
+# the soak's journal, a sweep under another result-changing knob must refuse
+# it, and one under another EAB_JOBS must resume every shard from it to the
+# same bytes.
+if (cd build/bench && env $soak_env EAB_CELL_SEED=6 EAB_SUPERVISE=1 \
+    EAB_JOBS=2 EAB_CHECKPOINT_DIR="soak/ckpt" \
+    ./bench_fig11_capacity --cell > soak/foreign_stdout.txt \
+    2> soak/foreign_stderr.txt); then
+  echo "JOURNAL FAILED: a relaunch under another EAB_CELL_SEED was accepted" >&2
+  exit 1
+fi
+grep -q 'fingerprint mismatch' "$soak/foreign_stderr.txt" || {
+  echo "JOURNAL FAILED: the refusal does not name the fingerprint" >&2
+  exit 1
+}
+(cd build/bench && env $soak_env EAB_SUPERVISE=1 EAB_JOBS=1 \
+  EAB_CHECKPOINT_DIR="soak/ckpt" \
+  ./bench_fig11_capacity --cell > soak/resume_stdout.txt \
+  2> soak/resume_stderr.txt)
+grep -qE 'shards=([0-9]+) completed=\1 recovered=\1 spawned=0 ' \
+  "$soak/resume_stderr.txt" || {
+  echo "JOURNAL FAILED: the EAB_JOBS=1 relaunch did not resume every shard" >&2
+  exit 1
+}
+cmp "$soak/ref_stdout.txt" "$soak/resume_stdout.txt"
+cmp "$soak/ref_cell.json" build/bench/BENCH_cell.json
+cmp "$soak/ref_cell.metrics.json" build/bench/BENCH_cell.metrics.json
+echo "journal refused under another seed, resumed byte-identically at EAB_JOBS=1"
+
 # The supervision layer itself under ASan: fork/pipe lifecycle, journal
 # recovery buffers, torn-tail truncation.
 cmake --build build-asan -j "$JOBS" \
@@ -247,7 +276,7 @@ cmake --build build-asan -j "$JOBS" \
 
 echo "== metro: multi-cell mobility determinism + ASan sweep =="
 # Tier-1 metro suites in the regular build: the full metro contract
-# (1-cell ≡ run_cell bytes, execution-tier invariance, ledger conservation,
+# (1-cell ≡ run_cell bytes, sweep-engine invariance, ledger conservation,
 # audited mobility traces) plus the forced-handover boundary matrix.
 ./build/tests/metro_test
 ./build/tests/metro_handover_boundary_test
@@ -272,7 +301,7 @@ mkdir -p "$metro"
 metro_env="EAB_METRO_GRID_W=2 EAB_METRO_GRID_H=2 EAB_METRO_USERS=6 EAB_METRO_HORIZON=120"
 (cd build/bench && env $metro_env ./bench_metro > metro_check/ref_stdout.txt)
 cp build/bench/BENCH_metro.json "$metro/ref_metro.json"
-(cd build/bench && env $metro_env EAB_SUPERVISE=1 EAB_WORKERS=2 \
+(cd build/bench && env $metro_env EAB_SUPERVISE=1 EAB_JOBS=2 \
   ./bench_metro > metro_check/sup_stdout.txt 2>> metro_check/sup_stderr.txt)
 cmp "$metro/ref_metro.json" build/bench/BENCH_metro.json
 cmp "$metro/ref_stdout.txt" "$metro/sup_stdout.txt"
@@ -297,7 +326,7 @@ grep -q '"cell_workload_identical": true' build/bench/BENCH_obs_overhead.json
 ts_env="EAB_CELL_USERS=16 EAB_CELL_SEED=5 EAB_TELEMETRY=1"
 (cd build/bench && env $ts_env ./bench_fig11_capacity --cell > /dev/null)
 cp build/bench/BENCH_cell.timeseries.json "$soak/ref_cell.timeseries.json"
-(cd build/bench && env $ts_env EAB_SUPERVISE=1 EAB_WORKERS=2 \
+(cd build/bench && env $ts_env EAB_SUPERVISE=1 EAB_JOBS=2 \
   ./bench_fig11_capacity --cell > /dev/null 2>> soak/sup_stderr.txt)
 cmp "$soak/ref_cell.timeseries.json" build/bench/BENCH_cell.timeseries.json
 echo "telemetry series byte-identical across serial/supervised"

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "cell/cell_sim.hpp"
-#include "core/sweep.hpp"
 #include "sim/simulator.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -115,37 +114,6 @@ CellResult deserialize_cell_result(std::string_view bytes) {
   fields(r, result);
   r.expect_done();
   return result;
-}
-
-core::SupervisorReport run_cell_sweep(
-    const CellConfig& base, const std::vector<int>& users_axis,
-    const core::SweepExecution& exec,
-    const std::function<void(std::size_t index, const CellResult& result)>&
-        consume) {
-  validate_cell_config(base);
-  if (exec.tier() == core::SweepExecution::Tier::kSupervised &&
-      base.per_ue.stack.trace) {
-    throw std::invalid_argument(
-        "run_cell_sweep: tracing cannot cross the process boundary; run "
-        "supervised sweeps with tracing off");
-  }
-  core::SweepDriver<CellResult> driver;
-  driver
-      .shard([&base, &users_axis](std::size_t i) {
-        CellConfig config = base;
-        config.users = users_axis[i];
-        return run_cell(config);
-      })
-      .codec(serialize_cell_result,
-             [](std::string_view payload) {
-               return deserialize_cell_result(payload);
-             });
-  if (consume) {
-    driver.consume([&consume](std::size_t i, CellResult&& result) {
-      consume(i, result);
-    });
-  }
-  return driver.run(users_axis.size(), exec);
 }
 
 double users_at_drop_target(const std::vector<int>& users_axis,

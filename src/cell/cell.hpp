@@ -39,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -47,7 +46,6 @@
 
 #include "core/energy_report.hpp"
 #include "core/scenario.hpp"
-#include "core/sweep.hpp"
 #include "corpus/page_spec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -208,23 +206,6 @@ std::string serialize_cell_result(const CellResult& result);
 /// Inverse of serialize_cell_result; throws std::runtime_error on
 /// truncated or malformed bytes (a torn checkpoint record).
 CellResult deserialize_cell_result(std::string_view bytes);
-
-/// Users-axis sweep on any execution tier: shard i is run_cell(base with
-/// users = users_axis[i]), and `consume` (may be empty) receives each result
-/// in ascending axis order — merge-on-arrival, each result released after
-/// the callback returns, so aggregation is constant-memory in the axis
-/// length.  The consumed bytes are identical on the serial, pooled and
-/// supervised tiers for any worker count; on the supervised tier a run with
-/// a checkpoint path resumes bit-identically after a kill, and a failed
-/// shard surfaces in the returned report (consume skips it) instead of
-/// throwing.  Throws std::invalid_argument on an invalid base config, or on
-/// the supervised tier when the per-UE template enables tracing (recorders
-/// cannot cross the process boundary).
-core::SupervisorReport run_cell_sweep(
-    const CellConfig& base, const std::vector<int>& users_axis,
-    const core::SweepExecution& exec,
-    const std::function<void(std::size_t index, const CellResult& result)>&
-        consume);
 
 /// Users supported at `target` drop probability, linearly interpolated over
 /// ascending (users_axis[i], drops[i]) sweep points.  Returns the last axis

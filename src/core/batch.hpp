@@ -84,8 +84,9 @@ class BatchRunner {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   void clear_metrics() { metrics_ = {}; }
 
-  /// Worker-count resolution (exposed for tests): `requested` > 0 capped at
-  /// 1024, else hardware_concurrency() (at least 1).
+  /// Worker-count resolution for threads here and for Supervisor's worker
+  /// processes: `requested` > 0 capped at 1024, else hardware_concurrency()
+  /// (at least 1).
   static int resolve_jobs(int requested);
 
  private:

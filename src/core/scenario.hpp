@@ -49,32 +49,13 @@ class ScenarioBuilder {
   explicit ScenarioBuilder(browser::PipelineMode mode) { this->mode(mode); }
 
   /// Sets the pipeline mode and couples fast dormancy to it: energy-aware
-  /// releases the radio at transmission-complete, Original does not.  Call
-  /// force_idle_at_tx() afterwards to decouple them.
+  /// releases the radio at transmission-complete, Original does not.  To
+  /// decouple them, set StackConfig::force_idle_at_tx on the built stack
+  /// and pass it back through stack().
   ScenarioBuilder& mode(browser::PipelineMode mode) {
     scenario_.stack.pipeline.mode = mode;
     scenario_.stack.force_idle_at_tx =
         mode == browser::PipelineMode::kEnergyAware;
-    return *this;
-  }
-  ScenarioBuilder& rrc(const radio::RrcConfig& rrc) {
-    scenario_.stack.rrc = rrc;
-    return *this;
-  }
-  ScenarioBuilder& power(const radio::RadioPowerModel& power) {
-    scenario_.stack.power = power;
-    return *this;
-  }
-  ScenarioBuilder& link(const radio::LinkConfig& link) {
-    scenario_.stack.link = link;
-    return *this;
-  }
-  ScenarioBuilder& pipeline(const browser::PipelineConfig& pipeline) {
-    scenario_.stack.pipeline = pipeline;
-    return *this;
-  }
-  ScenarioBuilder& force_idle_at_tx(bool on) {
-    scenario_.stack.force_idle_at_tx = on;
     return *this;
   }
   ScenarioBuilder& max_parallel_connections(int n) {
@@ -84,10 +65,6 @@ class ScenarioBuilder {
   ScenarioBuilder& browser_cache(Bytes bytes) {
     scenario_.stack.use_browser_cache = true;
     scenario_.stack.browser_cache_bytes = bytes;
-    return *this;
-  }
-  ScenarioBuilder& no_browser_cache() {
-    scenario_.stack.use_browser_cache = false;
     return *this;
   }
   ScenarioBuilder& fault_plan(const net::FaultPlan& plan) {

@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "core/batch.hpp"
 #include "core/checkpoint.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -164,12 +165,6 @@ Supervisor::Supervisor(SupervisorConfig config) : config_(std::move(config)) {
   }
 }
 
-int Supervisor::resolve_workers(int requested) {
-  if (requested > 0) return std::min(requested, 1024);
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
 std::string Supervisor::encode_shard_payload(std::size_t shard,
                                              std::string_view bytes) {
   std::string payload;
@@ -299,7 +294,8 @@ SupervisorReport Supervisor::run(std::size_t shard_count, const ShardFn& work,
   // --- orchestrator loop ----------------------------------------------------
   std::vector<LiveWorker> live;
   const int max_workers = std::min<std::size_t>(
-      static_cast<std::size_t>(resolve_workers(config_.workers)), shard_count);
+      static_cast<std::size_t>(BatchRunner::resolve_jobs(config_.workers)),
+      shard_count);
 
   auto cleanup_worker = [&](LiveWorker& w) {
     if (w.fd >= 0) ::close(w.fd);

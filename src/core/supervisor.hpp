@@ -50,8 +50,9 @@
 namespace eab::core {
 
 struct SupervisorConfig {
-  /// Max concurrent worker processes; <= 0 resolves via resolve_workers()
-  /// (hardware_concurrency).  Always clamped to the shard count.
+  /// Max concurrent worker processes, resolved as BatchRunner::resolve_jobs
+  /// resolves a thread count (<= 0: hardware_concurrency; capped at 1024).
+  /// Always clamped to the shard count.
   int workers = 0;
   /// Worker liveness: heartbeat frames every `heartbeat_interval`; a worker
   /// silent for `heartbeat_timeout` is killed and the attempt retried.
@@ -136,10 +137,6 @@ class Supervisor {
                        const MergeFn& merge);
 
   const SupervisorConfig& config() const { return config_; }
-
-  /// <= 0 becomes hardware_concurrency (min 1).  EAB_WORKERS is resolved by
-  /// the bench layer (strictly parsed) and passed in via the config.
-  static int resolve_workers(int requested);
 
   // Journal record types and payload codecs, public so tests can pre-seed
   // or inspect journals.  Payloads: fingerprint = raw bytes; launch =

@@ -1,41 +1,32 @@
-// One sweep driver for every execution tier.
+// One sweep call per execution engine.
 //
-// The repo grew three parallel entry points per sweepable result type —
-// a serial loop, a BatchRunner-sharded variant and a Supervisor-backed
-// process-level variant — each re-implementing the same contract: shard i
-// computes a pure function of i, results are consumed in ascending index
-// order (merge-on-arrival: shard k is handed over as soon as it and every
-// shard below it finished, then released, so aggregation is streaming and
-// constant-memory), and the consumed sequence is bit-identical across all
-// tiers.  SweepDriver<Result> is that contract, written once:
+// A sweep computes shard(i) for every i in [0, count) and hands each result
+// to consume(i, result) exactly once, in ascending index order
+// (merge-on-arrival: shard k is handed over as soon as it and every shard
+// below it finished, then released, so aggregation is streaming and
+// constant-memory).  The consumed sequence — indices, order and payload
+// bits — is the same on both engines and for any worker count, which is
+// what lets check.sh byte-compare in-process and supervised bench
+// artifacts:
 //
-//   core::SweepDriver<CellResult> driver;
-//   driver.shard([&](std::size_t i) { return run_cell(config_for(i)); })
-//         .consume([&](std::size_t i, CellResult&& r) { fold(i, r); });
-//   driver.run(n, core::SweepExecution::serial());
-//   driver.run(n, core::SweepExecution::pooled(runner));      // threads
-//   driver.run(n, core::SweepExecution::supervised(sup));     // processes
+//   core::sweep(runner, n, shard, consume);                  // threads
+//   core::sweep(supervisor, n, shard, consume, encode, decode);  // processes
 //
-// The supervised tier crosses process boundaries, so it additionally needs
-// a codec (driver.codec(serialize, deserialize)) — the same bit-exact
-// binary round-trip the checkpoint journal stores.  Serial and pooled
-// tiers never touch the codec.
+// A BatchRunner with one thread runs the shards inline on the calling
+// thread: that is the reference ordering.  The supervised overload crosses
+// process boundaries, so its codec is part of the signature: encode(result)
+// runs in the worker and must return the bytes decode(bytes) turns back
+// into a bit-identical result in the orchestrator.
 //
-// Execution-tier equivalence: the shard function must be a pure function
-// of its index (no shared mutable state), exactly as BatchRunner and
-// Supervisor already require.  Under that contract the consume sequence —
-// indices, order and payload bits — is identical across the three tiers,
-// which is what lets check.sh byte-compare serial, sharded and supervised
-// bench artifacts.
+// The shard function must be a pure function of its index (no shared
+// mutable state), exactly as BatchRunner and Supervisor already require.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <mutex>
-#include <stdexcept>
-#include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "core/batch.hpp"
@@ -43,147 +34,46 @@
 
 namespace eab::core {
 
-/// Which tier a sweep runs on.  Holds non-owning references to the engine
-/// it selects; the engine must outlive the run() call.
-class SweepExecution {
- public:
-  enum class Tier { kSerial, kBatchPooled, kSupervised };
-
-  /// Plain in-process loop (the reference ordering).
-  static SweepExecution serial() { return SweepExecution(Tier::kSerial); }
-  /// Thread-pooled via BatchRunner::run_indexed; consume still runs in
-  /// ascending index order (completed shards buffer until the contiguous
-  /// prefix reaches them).
-  static SweepExecution pooled(BatchRunner& runner) {
-    SweepExecution e(Tier::kBatchPooled);
-    e.runner_ = &runner;
-    return e;
-  }
-  /// Process-per-shard under a Supervisor (heartbeats, retries, durable
-  /// checkpoints); requires a codec on the driver.
-  static SweepExecution supervised(Supervisor& supervisor) {
-    SweepExecution e(Tier::kSupervised);
-    e.supervisor_ = &supervisor;
-    return e;
-  }
-
-  Tier tier() const { return tier_; }
-  BatchRunner& runner() const { return *runner_; }
-  Supervisor& supervisor() const { return *supervisor_; }
-
- private:
-  explicit SweepExecution(Tier tier) : tier_(tier) {}
-  Tier tier_;
-  BatchRunner* runner_ = nullptr;
-  Supervisor* supervisor_ = nullptr;
-};
-
-/// The one sweep driver.  See file comment for the contract.
-template <typename Result>
-class SweepDriver {
- public:
-  using ShardFn = std::function<Result(std::size_t index)>;
-  using ConsumeFn = std::function<void(std::size_t index, Result&& result)>;
-  using SerializeFn = std::function<std::string(const Result&)>;
-  using DeserializeFn = std::function<Result(std::string_view)>;
-
-  /// Computes shard `index`.  Must be a pure function of the index.
-  SweepDriver& shard(ShardFn fn) {
-    shard_ = std::move(fn);
-    return *this;
-  }
-
-  /// Receives each result exactly once, in ascending index order; the
-  /// result is released after the call returns (constant-memory folding).
-  /// Optional: unset, results are computed and discarded.
-  SweepDriver& consume(ConsumeFn fn) {
-    consume_ = std::move(fn);
-    return *this;
-  }
-
-  /// Bit-exact binary round-trip for the supervised tier (worker ->
-  /// orchestrator pipes and checkpoint journal records).
-  SweepDriver& codec(SerializeFn serialize, DeserializeFn deserialize) {
-    serialize_ = std::move(serialize);
-    deserialize_ = std::move(deserialize);
-    return *this;
-  }
-
-  /// Runs shards [0, count) on the selected tier.  Serial and pooled tiers
-  /// propagate the first (lowest-index) shard exception and return a
-  /// fully-ok report otherwise; the supervised tier never throws for shard
-  /// failures — they surface in the report and consume skips them.
-  SupervisorReport run(std::size_t count, const SweepExecution& exec) {
-    if (!shard_) {
-      throw std::invalid_argument("SweepDriver::run: no shard function");
+/// In-process sweep over `runner`'s threads.  Rethrows the lowest-index
+/// shard failure (as BatchRunner::run_indexed does) after every shard ran;
+/// consume never sees an index at or past a failed one.
+template <typename Shard, typename Consume>
+void sweep(BatchRunner& runner, std::size_t count, Shard&& shard,
+           Consume&& consume) {
+  using Result = std::decay_t<std::invoke_result_t<Shard&, std::size_t>>;
+  // Workers complete in pool order; consume still runs strictly in index
+  // order by buffering each completed result until the contiguous prefix
+  // reaches it.  Memory is bounded by the reorder window (at most one
+  // result per in-flight worker beyond the prefix), not the axis length.
+  std::mutex mutex;
+  std::map<std::size_t, Result> buffered;
+  std::size_t next = 0;
+  runner.run_indexed(count, [&](std::size_t i) {
+    Result result = shard(i);
+    std::lock_guard<std::mutex> lock(mutex);
+    buffered.emplace(i, std::move(result));
+    while (!buffered.empty() && buffered.begin()->first == next) {
+      auto node = buffered.extract(buffered.begin());
+      consume(next, std::move(node.mapped()));
+      ++next;
     }
-    switch (exec.tier()) {
-      case SweepExecution::Tier::kSerial: return run_serial(count);
-      case SweepExecution::Tier::kBatchPooled:
-        return run_pooled(count, exec.runner());
-      case SweepExecution::Tier::kSupervised:
-        return run_supervised(count, exec.supervisor());
-    }
-    throw std::logic_error("SweepDriver::run: unknown tier");
-  }
+  });
+}
 
- private:
-  SupervisorReport in_process_report(std::size_t count) const {
-    SupervisorReport report;
-    report.shards = count;
-    report.completed = count;
-    return report;
-  }
-
-  SupervisorReport run_serial(std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      Result result = shard_(i);
-      if (consume_) consume_(i, std::move(result));
-    }
-    return in_process_report(count);
-  }
-
-  SupervisorReport run_pooled(std::size_t count, BatchRunner& runner) {
-    // Workers complete in pool order; consume still runs strictly in index
-    // order by buffering each completed result until the contiguous prefix
-    // reaches it.  Memory is bounded by the reorder window (at most one
-    // result per in-flight worker beyond the prefix), not the axis length.
-    std::mutex mutex;
-    std::map<std::size_t, Result> buffered;
-    std::size_t next = 0;
-    runner.run_indexed(count, [&](std::size_t i) {
-      Result result = shard_(i);
-      std::lock_guard<std::mutex> lock(mutex);
-      buffered.emplace(i, std::move(result));
-      while (!buffered.empty() && buffered.begin()->first == next) {
-        auto node = buffered.extract(buffered.begin());
-        if (consume_) consume_(next, std::move(node.mapped()));
-        ++next;
-      }
-    });
-    return in_process_report(count);
-  }
-
-  SupervisorReport run_supervised(std::size_t count, Supervisor& supervisor) {
-    if (!serialize_ || !deserialize_) {
-      throw std::invalid_argument(
-          "SweepDriver::run: the supervised tier needs a codec "
-          "(results cross process boundaries)");
-    }
-    return supervisor.run(
-        count,
-        [&](std::size_t i) {  // worker process
-          return serialize_(shard_(i));
-        },
-        [&](std::size_t i, std::string_view payload) {  // orchestrator
-          if (consume_) consume_(i, deserialize_(payload));
-        });
-  }
-
-  ShardFn shard_;
-  ConsumeFn consume_;
-  SerializeFn serialize_;
-  DeserializeFn deserialize_;
-};
+/// Supervised sweep: one forked worker per shard under `supervisor`
+/// (heartbeats, retries, durable checkpoints).  Never throws for a shard
+/// failure: a shard or encode that throws in the worker surfaces as a
+/// deterministic ShardError in the returned report, and consume skips that
+/// index.  A decode or consume that throws propagates out of the call.
+template <typename Shard, typename Consume, typename Encode, typename Decode>
+SupervisorReport sweep(Supervisor& supervisor, std::size_t count,
+                       Shard&& shard, Consume&& consume, Encode&& encode,
+                       Decode&& decode) {
+  return supervisor.run(
+      count, [&](std::size_t i) { return encode(shard(i)); },  // worker
+      [&](std::size_t i, std::string_view payload) {  // orchestrator
+        consume(i, decode(payload));
+      });
+}
 
 }  // namespace eab::core

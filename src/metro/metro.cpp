@@ -471,35 +471,4 @@ MetroResult deserialize_metro_result(std::string_view bytes) {
   return result;
 }
 
-core::SupervisorReport run_metro_sweep(
-    const MetroConfig& base, const std::vector<int>& users_axis,
-    const core::SweepExecution& exec,
-    const std::function<void(std::size_t index, const MetroResult& result)>&
-        consume) {
-  validate_metro_config(base);
-  if (exec.tier() == core::SweepExecution::Tier::kSupervised &&
-      base.cell.per_ue.stack.trace) {
-    throw std::invalid_argument(
-        "run_metro_sweep: tracing cannot cross the process boundary; run "
-        "supervised sweeps with tracing off");
-  }
-  core::SweepDriver<MetroResult> driver;
-  driver
-      .shard([&base, &users_axis](std::size_t i) {
-        MetroConfig config = base;
-        config.cell.users = users_axis[i];
-        return run_metro(config);
-      })
-      .codec(serialize_metro_result,
-             [](std::string_view payload) {
-               return deserialize_metro_result(payload);
-             });
-  if (consume) {
-    driver.consume([&consume](std::size_t i, MetroResult&& result) {
-      consume(i, result);
-    });
-  }
-  return driver.run(users_axis.size(), exec);
-}
-
 }  // namespace eab::metro

@@ -45,18 +45,16 @@
 // their home cell exactly as in run_cell; mobility draws come from a
 // dedicated per-UE sub-stream.  A 1-cell, zero-mobility metro is
 // byte-identical to cell::run_cell on the same config (check.sh gates
-// this), and metro sweeps are bit-identical across serial, pooled and
-// supervised execution.
+// this), and metro sweeps are bit-identical in process and supervised, at
+// any thread or worker count.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "cell/cell.hpp"
-#include "core/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "util/units.hpp"
 
@@ -201,17 +199,5 @@ MetroResult run_metro(const MetroConfig& config);
 std::string serialize_metro_result(const MetroResult& result);
 /// Inverse; throws std::runtime_error on malformed bytes.
 MetroResult deserialize_metro_result(std::string_view bytes);
-
-/// Per-cell-users sweep on the unified core::SweepDriver: shard i is
-/// run_metro(base with cell.users = users_axis[i]), consumed in ascending
-/// index order on every tier (merge-on-arrival, constant memory in the
-/// axis length).  The supervised tier requires tracing off.  Returns the
-/// supervision report (serial/pooled tiers return an all-ok report and
-/// propagate shard exceptions instead).
-core::SupervisorReport run_metro_sweep(
-    const MetroConfig& base, const std::vector<int>& users_axis,
-    const core::SweepExecution& exec,
-    const std::function<void(std::size_t index, const MetroResult& result)>&
-        consume);
 
 }  // namespace eab::metro

@@ -1,4 +1,4 @@
-// Multi-UE shared-cell co-simulation: determinism (serial == pooled ==
+// Multi-UE shared-cell co-simulation: determinism (one-thread == pooled ==
 // supervised sweeps), grant-pool accounting under exhaustion, the
 // qualitative Fig 11 capacity claim from first principles, a chaos sweep
 // over cell scenarios, and the checked-in service-time quantiles for the
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "core/sweep.hpp"
 #include "obs/audit.hpp"
 #include "util/bytes.hpp"
 #include "util/hash.hpp"
@@ -54,14 +55,36 @@ std::string fingerprint(const CellResult& r) {
   return out;
 }
 
-/// run_cell_sweep on `exec`, collected in axis order; every shard must land.
-std::vector<CellResult> sweep(const CellConfig& base,
-                              const std::vector<int>& axis,
-                              const core::SweepExecution& exec) {
+/// The users-axis shard: shard i is run_cell(base with users = axis[i]).
+auto users_shard(const CellConfig& base, const std::vector<int>& axis) {
+  return [&base, &axis](std::size_t i) {
+    CellConfig config = base;
+    config.users = axis[i];
+    return run_cell(config);
+  };
+}
+
+/// The users-axis sweep in process on `runner`, collected in axis order.
+std::vector<CellResult> sweep(core::BatchRunner& runner,
+                              const CellConfig& base,
+                              const std::vector<int>& axis) {
   std::vector<CellResult> results(axis.size());
-  const core::SupervisorReport report = run_cell_sweep(
-      base, axis, exec,
-      [&results](std::size_t i, const CellResult& r) { results[i] = r; });
+  core::sweep(runner, axis.size(), users_shard(base, axis),
+              [&results](std::size_t i, CellResult&& r) {
+                results[i] = std::move(r);
+              });
+  return results;
+}
+
+/// The same sweep under `supervisor`; every shard must land.
+std::vector<CellResult> sweep(core::Supervisor& supervisor,
+                              const CellConfig& base,
+                              const std::vector<int>& axis) {
+  std::vector<CellResult> results(axis.size());
+  const core::SupervisorReport report = core::sweep(
+      supervisor, axis.size(), users_shard(base, axis),
+      [&results](std::size_t i, CellResult&& r) { results[i] = std::move(r); },
+      serialize_cell_result, deserialize_cell_result);
   EXPECT_TRUE(report.ok()) << report.summary();
   return results;
 }
@@ -83,9 +106,10 @@ TEST(CellTest, SameSeedSameResult) {
 TEST(CellTest, SweepSerialEqualsSharded) {
   const auto config = small_cell(browser::PipelineMode::kOriginal);
   const std::vector<int> axis{2, 4, 6};
+  core::BatchRunner serial(1);
   core::BatchRunner pooled(3);
-  const auto a = sweep(config, axis, core::SweepExecution::serial());
-  const auto b = sweep(config, axis, core::SweepExecution::pooled(pooled));
+  const auto a = sweep(serial, config, axis);
+  const auto b = sweep(pooled, config, axis);
   for (std::size_t i = 0; i < axis.size(); ++i) {
     EXPECT_EQ(a[i].users, axis[i]);
     EXPECT_EQ(serialize_cell_result(b[i]), serialize_cell_result(a[i]))
@@ -169,13 +193,23 @@ TEST(CellTest, SerializingTracedResultsIsRejected) {
   const CellResult traced = run_cell(config);
   EXPECT_THROW(serialize_cell_result(traced), std::invalid_argument);
 
-  // In-process tiers keep traces; only the supervised tier must refuse them.
-  const auto in_process = sweep(config, {2}, core::SweepExecution::serial());
+  // In-process sweeps keep traces; a supervised sweep reports the codec's
+  // refusal as a deterministic error for the shard, and consumes nothing.
+  const std::vector<int> axis{2};
+  core::BatchRunner serial(1);
+  const auto in_process = sweep(serial, config, axis);
   EXPECT_NE(in_process[0].per_ue[0].trace, nullptr);
   core::Supervisor supervisor;
-  EXPECT_THROW(run_cell_sweep(config, {2},
-                              core::SweepExecution::supervised(supervisor), {}),
-               std::invalid_argument);
+  const core::SupervisorReport report = core::sweep(
+      supervisor, axis.size(), users_shard(config, axis),
+      [](std::size_t, CellResult&&) { ADD_FAILURE() << "traced shard merged"; },
+      serialize_cell_result, deserialize_cell_result);
+  ASSERT_EQ(report.errors.size(), 1u);
+  EXPECT_EQ(report.errors[0].shard, 0u);
+  EXPECT_TRUE(report.errors[0].deterministic);
+  EXPECT_NE(report.errors[0].what.find("traced results cannot cross"),
+            std::string::npos)
+      << report.errors[0].what;
 }
 
 TEST(CellTest, SupervisedSweepIsBitIdenticalToInProcessSweep) {
@@ -185,14 +219,12 @@ TEST(CellTest, SupervisedSweepIsBitIdenticalToInProcessSweep) {
   const auto config = small_cell(browser::PipelineMode::kOriginal);
   const std::vector<int> axis{2, 4, 6};
   core::BatchRunner runner(2);
-  const auto reference =
-      sweep(config, axis, core::SweepExecution::pooled(runner));
+  const auto reference = sweep(runner, config, axis);
 
   core::SupervisorConfig sup_config;
   sup_config.workers = 2;
   core::Supervisor supervisor(sup_config);
-  const auto supervised =
-      sweep(config, axis, core::SweepExecution::supervised(supervisor));
+  const auto supervised = sweep(supervisor, config, axis);
 
   for (std::size_t i = 0; i < axis.size(); ++i) {
     EXPECT_EQ(supervised[i].users, axis[i]);
@@ -246,8 +278,9 @@ TEST(CellTest, EnergyAwareAdmitsAtLeastAsManyUsersAtEqualDropTarget) {
   auto ea = small_cell(browser::PipelineMode::kEnergyAware);
   orig.channels = ea.channels = 3;
   orig.horizon = ea.horizon = 360.0;
-  const auto orig_results = sweep(orig, axis, core::SweepExecution::serial());
-  const auto ea_results = sweep(ea, axis, core::SweepExecution::serial());
+  core::BatchRunner serial(1);
+  const auto orig_results = sweep(serial, orig, axis);
+  const auto ea_results = sweep(serial, ea, axis);
 
   // Both drop curves are (weakly) monotone in #users...
   for (std::size_t i = 1; i < axis.size(); ++i) {
@@ -344,9 +377,7 @@ TEST(CellTest, OutageSweepSerialShardedSupervisedBitIdentical) {
     const std::string reference = serialize_cell_result(serial);
 
     core::Supervisor supervisor(sup_config);
-    const auto supervised =
-        sweep(config, {config.users},
-              core::SweepExecution::supervised(supervisor));
+    const auto supervised = sweep(supervisor, config, {config.users});
     EXPECT_EQ(serialize_cell_result(supervised[0]), reference)
         << "seed " << seed << " supervised";
   }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -126,6 +131,8 @@ TEST(BatchRunner, ResolveJobsPrecedence) {
   EXPECT_EQ(BatchRunner::resolve_jobs(-3), hardware);  // <= 0: hardware
   EXPECT_EQ(BatchRunner::resolve_jobs(7), 7);          // explicit count wins
   EXPECT_EQ(BatchRunner::resolve_jobs(5000), 1024);    // capped, no threads
+  // Supervisor resolves SupervisorConfig::workers through this same call,
+  // so a supervised sweep runs EAB_JOBS worker processes at once.
   // The environment is not consulted: EAB_JOBS is the harnesses' knob.
   ASSERT_EQ(setenv("EAB_JOBS", "3", 1), 0);
   EXPECT_EQ(BatchRunner::resolve_jobs(0), hardware);
@@ -291,11 +298,6 @@ TEST(EnvParsing, SupervisionKnobsHonorWellFormedValues) {
   unsetenv("EAB_SUPERVISE");
   EXPECT_FALSE(bench::knobs().flag("EAB_SUPERVISE"));
 
-  setenv("EAB_WORKERS", "8", 1);
-  EXPECT_EQ(bench::knobs().u64_or("EAB_WORKERS", 0), 8u);
-  unsetenv("EAB_WORKERS");
-  EXPECT_EQ(bench::knobs().u64_or("EAB_WORKERS", 0), 0u);  // resolve default
-
   setenv("EAB_SELF_CHAOS", "12345", 1);
   EXPECT_EQ(bench::knobs().u64_or("EAB_SELF_CHAOS", 0), 12345u);
   unsetenv("EAB_SELF_CHAOS");
@@ -312,17 +314,9 @@ TEST(EnvParsing, SupervisionKnobsHonorWellFormedValues) {
   EXPECT_FALSE(bench::knobs().flag("EAB_SELF_CHAOS_ORC"));
 
   setenv("EAB_CHECKPOINT_DIR", "/tmp/ckpt", 1);
-  setenv("EAB_WORKERS", "3", 1);
-  const auto config =
-      bench::supervisor_config_from_env("sweep.journal", "fp-v1");
-  EXPECT_EQ(config.checkpoint_path, "/tmp/ckpt/sweep.journal");
-  EXPECT_EQ(config.fingerprint, "fp-v1");
-  EXPECT_EQ(config.workers, 3);
+  EXPECT_EQ(bench::knobs().path_or_empty("EAB_CHECKPOINT_DIR"), "/tmp/ckpt");
   unsetenv("EAB_CHECKPOINT_DIR");
-  unsetenv("EAB_WORKERS");
-  EXPECT_TRUE(
-      bench::supervisor_config_from_env("sweep.journal", "fp-v1")
-          .checkpoint_path.empty());
+  EXPECT_TRUE(bench::knobs().path_or_empty("EAB_CHECKPOINT_DIR").empty());
 }
 
 TEST(EnvParsingDeathTest, MalformedSuperviseFlagDiesLoudly) {
@@ -330,19 +324,6 @@ TEST(EnvParsingDeathTest, MalformedSuperviseFlagDiesLoudly) {
   EXPECT_EXIT(bench::knobs().flag("EAB_SUPERVISE"),
               ::testing::ExitedWithCode(2), "EAB_SUPERVISE");
   unsetenv("EAB_SUPERVISE");
-}
-
-TEST(EnvParsingDeathTest, MalformedWorkerCountDiesLoudly) {
-  setenv("EAB_WORKERS", "0", 1);
-  EXPECT_EXIT(bench::knobs().u64_or("EAB_WORKERS", 0),
-              ::testing::ExitedWithCode(2), "EAB_WORKERS");
-  setenv("EAB_WORKERS", "2000", 1);
-  EXPECT_EXIT(bench::knobs().u64_or("EAB_WORKERS", 0),
-              ::testing::ExitedWithCode(2), "EAB_WORKERS");
-  setenv("EAB_WORKERS", "two", 1);
-  EXPECT_EXIT(bench::knobs().u64_or("EAB_WORKERS", 0),
-              ::testing::ExitedWithCode(2), "EAB_WORKERS");
-  unsetenv("EAB_WORKERS");
 }
 
 TEST(EnvParsingDeathTest, MalformedJobCountDiesLoudly) {
@@ -442,6 +423,91 @@ TEST(EnvParsingDeathTest, MalformedProgressFlagDiesLoudly) {
   EXPECT_EXIT(bench::knobs().flag("EAB_PROGRESS"),
               ::testing::ExitedWithCode(2), "EAB_PROGRESS");
   unsetenv("EAB_PROGRESS");
+}
+
+TEST(JournalFingerprint, ResultKnobsChangeIt) {
+  for (const char* name : {"EAB_CELL_SEED", "EAB_METRO_HORIZON",
+                           "EAB_OUTAGE_COUNT", "EAB_TELEMETRY"}) {
+    SCOPED_TRACE(name);
+    unsetenv(name);
+    const std::string before = bench::journal_fingerprint("sweep.journal");
+    setenv(name, "1", 1);
+    EXPECT_NE(bench::journal_fingerprint("sweep.journal"), before);
+    unsetenv(name);
+  }
+}
+
+TEST(JournalFingerprint, PlacementKnobsLeaveItAlone) {
+  const std::string before = bench::journal_fingerprint("sweep.journal");
+  const char* placement[][2] = {{"EAB_JOBS", "3"},
+                                {"EAB_SELF_CHAOS", "77"},
+                                {"EAB_SELF_CHAOS_KILLS", "16"},
+                                {"EAB_SELF_CHAOS_ORC", "1"},
+                                {"EAB_PROGRESS", "1"},
+                                {"EAB_CHECKPOINT_DIR", "/tmp/elsewhere"}};
+  for (const auto& [name, value] : placement) setenv(name, value, 1);
+  EXPECT_EQ(bench::journal_fingerprint("sweep.journal"), before);
+  for (const auto& [name, value] : placement) unsetenv(name);
+}
+
+TEST(JournalFingerprint, JournalNamesNeverShareOne) {
+  EXPECT_NE(bench::journal_fingerprint("metro_orig.journal"),
+            bench::journal_fingerprint("metro_ea.journal"));
+  EXPECT_NE(bench::journal_fingerprint("fig11_cell.journal"),
+            bench::journal_fingerprint("metro_scale.journal"));
+}
+
+TEST(BenchSweep, SupervisedJournalResumesAtAnyJobCountAndRefusesOtherKnobs) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("eab_bench_sweep_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  setenv("EAB_SUPERVISE", "1", 1);
+  setenv("EAB_CHECKPOINT_DIR", dir.c_str(), 1);
+  unsetenv("EAB_CELL_SEED");
+  const auto run = [](std::vector<std::uint64_t>& out) {
+    return bench::sweep(
+        "squares.journal", 6,
+        [](std::size_t i) { return std::uint64_t{i * i + 7}; },
+        [&out](std::size_t i, std::uint64_t&& v) {
+          EXPECT_EQ(i, out.size());
+          out.push_back(v);
+        },
+        [](std::uint64_t v) { return std::to_string(v); },
+        [](std::string_view bytes) {
+          return std::stoull(std::string(bytes));
+        });
+  };
+  const std::vector<std::uint64_t> expected = {7, 8, 11, 16, 23, 32};
+
+  // Written by two worker processes, resumed by one: the job count only
+  // says where shards run, so the journal is the same sweep's.
+  setenv("EAB_JOBS", "2", 1);
+  std::vector<std::uint64_t> first;
+  EXPECT_TRUE(run(first));
+  EXPECT_EQ(first, expected);
+  EXPECT_TRUE(fs::exists(dir / "squares.journal"));
+  setenv("EAB_JOBS", "1", 1);
+  std::vector<std::uint64_t> resumed;
+  EXPECT_TRUE(run(resumed));
+  EXPECT_EQ(resumed, expected);
+
+  // Another seed is another sweep: the journal is refused, nothing merged.
+  setenv("EAB_CELL_SEED", "6", 1);
+  std::vector<std::uint64_t> foreign;
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(run(foreign));
+  const std::string stderr_text = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(stderr_text.find("fingerprint mismatch"), std::string::npos)
+      << stderr_text;
+  EXPECT_TRUE(foreign.empty());
+
+  for (const char* name :
+       {"EAB_SUPERVISE", "EAB_CHECKPOINT_DIR", "EAB_CELL_SEED", "EAB_JOBS"}) {
+    unsetenv(name);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(EnvParsing, ParseEnvF64IsStrict) {
@@ -549,7 +615,6 @@ TEST(RunBenchmark, EmptySpecListYieldsZeroedAverages) {
   EXPECT_EQ(avg.tx_time, 0.0);
   EXPECT_EQ(avg.total_time, 0.0);
   EXPECT_EQ(avg.first_display, 0.0);
-  EXPECT_EQ(avg.final_display, 0.0);
   EXPECT_EQ(avg.load_energy, 0.0);
   EXPECT_EQ(avg.energy_20s, 0.0);
   EXPECT_EQ(avg.dch_time, 0.0);

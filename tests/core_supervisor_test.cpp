@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/batch.hpp"
 #include "core/checkpoint.hpp"
 #include "util/fileio.hpp"
 
@@ -115,9 +116,20 @@ TEST(SupervisorTest, RejectsContradictoryConfigs) {
 }
 
 TEST(SupervisorTest, ResolveWorkersDefaultsToHardwareConcurrency) {
-  EXPECT_GE(Supervisor::resolve_workers(0), 1);
-  EXPECT_GE(Supervisor::resolve_workers(-3), 1);
-  EXPECT_EQ(Supervisor::resolve_workers(5), 5);
+  // The worker count resolves as a thread count does: <= 0 falls back to
+  // hardware_concurrency (at least one worker), an explicit count wins.
+  EXPECT_GE(BatchRunner::resolve_jobs(0), 1);
+  EXPECT_GE(BatchRunner::resolve_jobs(-3), 1);
+  EXPECT_EQ(BatchRunner::resolve_jobs(5), 5);
+  for (const int workers : {0, -3}) {
+    SupervisorConfig config = fast_config();
+    config.workers = workers;
+    Supervisor supervisor(config);
+    Merged merged;
+    const auto report = supervisor.run(3, plain_work(), collect_into(merged));
+    EXPECT_EQ(merged, expected_merge(3)) << "workers=" << workers;
+    EXPECT_TRUE(report.ok()) << "workers=" << workers;
+  }
 }
 
 TEST(SupervisorTest, ThrowingShardIsQuarantinedWithoutRetries) {

@@ -1,6 +1,6 @@
-// The unified sweep driver: consume order and payloads are bit-identical
-// across the serial, thread-pooled and supervised tiers; the supervised
-// tier demands a codec; shard exceptions propagate in index order.
+// core::sweep: consume order and payloads are bit-identical on a one-thread
+// runner (the inline reference), pooled runners and a supervisor; in-process
+// shard exceptions propagate in index order.
 #include "core/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -20,35 +20,32 @@ struct Point {
   std::uint64_t value = 0;
 };
 
-SweepDriver<Point> point_driver(std::vector<Point>* out) {
-  SweepDriver<Point> driver;
-  driver
-      .shard([](std::size_t i) {
-        // Pure function of the index, as the tier-equivalence contract
-        // requires.
-        return Point{i, i * i + 7};
-      })
-      .consume([out](std::size_t i, Point&& p) {
-        EXPECT_EQ(i, p.index);
-        out->push_back(p);
-      })
-      .codec(
-          [](const Point& p) {
-            std::string bytes;
-            BinaryWriter w(bytes);
-            w.u64(p.index);
-            w.u64(p.value);
-            return bytes;
-          },
-          [](std::string_view bytes) {
-            BinaryReader r(bytes);
-            Point p;
-            p.index = r.u64();
-            p.value = r.u64();
-            r.expect_done();
-            return p;
-          });
-  return driver;
+/// Pure function of the index, as the sweep contract requires.
+Point point_shard(std::size_t i) { return Point{i, i * i + 7}; }
+
+std::string encode_point(const Point& p) {
+  std::string bytes;
+  BinaryWriter w(bytes);
+  w.u64(p.index);
+  w.u64(p.value);
+  return bytes;
+}
+
+Point decode_point(std::string_view bytes) {
+  BinaryReader r(bytes);
+  Point p;
+  p.index = r.u64();
+  p.value = r.u64();
+  r.expect_done();
+  return p;
+}
+
+/// A consume callback appending to `out` that checks the index it is handed.
+auto collect_into(std::vector<Point>& out) {
+  return [&out](std::size_t i, Point&& p) {
+    EXPECT_EQ(i, p.index);
+    out.push_back(p);
+  };
 }
 
 void expect_sequence(const std::vector<Point>& points, std::size_t count) {
@@ -59,21 +56,17 @@ void expect_sequence(const std::vector<Point>& points, std::size_t count) {
   }
 }
 
-TEST(SweepDriverTest, AllTiersConsumeTheSameOrderedSequence) {
+TEST(SweepTest, EveryEngineConsumesTheSameOrderedSequence) {
   constexpr std::size_t kCount = 17;
 
-  std::vector<Point> serial;
-  auto d1 = point_driver(&serial);
-  EXPECT_TRUE(d1.run(kCount, SweepExecution::serial()).ok());
-  expect_sequence(serial, kCount);
-
-  // Worker counts that do and do not divide the axis, to force reordering
-  // through the contiguous-prefix buffer.
-  for (int workers : {1, 3, 8}) {
-    BatchRunner runner(workers);
+  // One thread is the inline reference; the other counts do and do not
+  // divide the axis, to force reordering through the contiguous-prefix
+  // buffer.
+  for (int threads : {1, 3, 8}) {
+    SCOPED_TRACE(threads);
+    BatchRunner runner(threads);
     std::vector<Point> pooled;
-    auto d2 = point_driver(&pooled);
-    EXPECT_TRUE(d2.run(kCount, SweepExecution::pooled(runner)).ok());
+    sweep(runner, kCount, point_shard, collect_into(pooled));
     expect_sequence(pooled, kCount);
   }
 
@@ -81,49 +74,36 @@ TEST(SweepDriverTest, AllTiersConsumeTheSameOrderedSequence) {
   config.workers = 3;
   Supervisor supervisor(config);
   std::vector<Point> supervised;
-  auto d3 = point_driver(&supervised);
   const SupervisorReport report =
-      d3.run(kCount, SweepExecution::supervised(supervisor));
+      sweep(supervisor, kCount, point_shard, collect_into(supervised),
+            encode_point, decode_point);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.completed, kCount);
   expect_sequence(supervised, kCount);
 }
 
-TEST(SweepDriverTest, SupervisedTierRequiresACodec) {
-  SweepDriver<Point> driver;
-  driver.shard([](std::size_t i) { return Point{i, i}; });
-  Supervisor supervisor;
-  EXPECT_THROW(driver.run(2, SweepExecution::supervised(supervisor)),
-               std::invalid_argument);
-  // The in-process tiers never touch the codec.
-  EXPECT_TRUE(driver.run(2, SweepExecution::serial()).ok());
-}
-
-TEST(SweepDriverTest, MissingShardFunctionThrows) {
-  SweepDriver<Point> driver;
-  EXPECT_THROW(driver.run(1, SweepExecution::serial()),
-               std::invalid_argument);
-}
-
-TEST(SweepDriverTest, InProcessTiersPropagateShardExceptions) {
-  SweepDriver<int> driver;
-  driver.shard([](std::size_t i) -> int {
+TEST(SweepTest, InProcessShardExceptionsPropagate) {
+  const auto shard = [](std::size_t i) -> int {
     if (i == 2) throw std::runtime_error("shard 2 exploded");
     return static_cast<int>(i);
-  });
-  EXPECT_THROW(driver.run(4, SweepExecution::serial()), std::runtime_error);
-  BatchRunner runner(2);
-  EXPECT_THROW(driver.run(4, SweepExecution::pooled(runner)),
-               std::runtime_error);
+  };
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    BatchRunner runner(threads);
+    std::vector<std::size_t> consumed;
+    EXPECT_THROW(sweep(runner, 4, shard,
+                       [&](std::size_t i, int&&) { consumed.push_back(i); }),
+                 std::runtime_error);
+    // Nothing at or past the failed index is consumed.
+    EXPECT_EQ(consumed, (std::vector<std::size_t>{0, 1}));
+  }
 }
 
-TEST(SweepDriverTest, ZeroShardsIsANoOp) {
+TEST(SweepTest, ZeroShardsIsANoOp) {
   int consumed = 0;
-  SweepDriver<int> driver;
-  driver.shard([](std::size_t i) { return static_cast<int>(i); })
-      .consume([&](std::size_t, int&&) { ++consumed; });
-  const SupervisorReport report = driver.run(0, SweepExecution::serial());
-  EXPECT_TRUE(report.ok());
+  BatchRunner runner(1);
+  sweep(runner, 0, [](std::size_t i) { return static_cast<int>(i); },
+        [&](std::size_t, int&&) { ++consumed; });
   EXPECT_EQ(consumed, 0);
 }
 

@@ -1,5 +1,5 @@
 // Metro layer: the 1-cell zero-mobility metro reproduces run_cell byte for
-// byte, metro runs are execution-tier-invariant, the mobility ledger
+// byte, metro sweeps are the same bytes on every engine, the mobility ledger
 // conserves UEs and grants, the hotspot apportionment is deterministic, and
 // traced mobility runs audit clean per UE.
 #include "metro/metro.hpp"
@@ -18,6 +18,7 @@
 #include "core/batch.hpp"
 #include "core/scenario.hpp"
 #include "core/supervisor.hpp"
+#include "core/sweep.hpp"
 #include "corpus/page_spec.hpp"
 #include "obs/audit.hpp"
 #include "util/bytes.hpp"
@@ -129,37 +130,46 @@ TEST(MetroTest, ZeroDwellMultiCellEqualsIndependentCells) {
   }
 }
 
+/// The users-axis shard: shard i is run_metro(base with cell.users =
+/// axis[i]).
+auto users_shard(const MetroConfig& base, const std::vector<int>& axis) {
+  return [&base, &axis](std::size_t i) {
+    MetroConfig config = base;
+    config.cell.users = axis[i];
+    return run_metro(config);
+  };
+}
+
 TEST(MetroTest, SweepTiersAreBitIdentical) {
   const MetroConfig base = small_metro(browser::PipelineMode::kOriginal);
   const std::vector<int> axis{2, 4};
+  const auto collect_into = [](std::vector<std::string>& out) {
+    return [&out](std::size_t i, MetroResult&& r) {
+      EXPECT_EQ(i, out.size());
+      out.push_back(serialize_metro_result(r));
+    };
+  };
 
+  core::BatchRunner serial_runner(1);
   std::vector<std::string> serial;
-  run_metro_sweep(base, axis, core::SweepExecution::serial(),
-                  [&](std::size_t i, const MetroResult& r) {
-                    EXPECT_EQ(i, serial.size());
-                    serial.push_back(serialize_metro_result(r));
-                  });
+  core::sweep(serial_runner, axis.size(), users_shard(base, axis),
+              collect_into(serial));
   ASSERT_EQ(serial.size(), axis.size());
 
   core::BatchRunner runner(2);
   std::vector<std::string> pooled;
-  run_metro_sweep(base, axis, core::SweepExecution::pooled(runner),
-                  [&](std::size_t i, const MetroResult& r) {
-                    EXPECT_EQ(i, pooled.size());
-                    pooled.push_back(serialize_metro_result(r));
-                  });
+  core::sweep(runner, axis.size(), users_shard(base, axis),
+              collect_into(pooled));
   EXPECT_EQ(pooled, serial);
 
   core::SupervisorConfig sup_config;
   sup_config.workers = 2;
   core::Supervisor supervisor(sup_config);
   std::vector<std::string> supervised;
-  const core::SupervisorReport report =
-      run_metro_sweep(base, axis, core::SweepExecution::supervised(supervisor),
-                      [&](std::size_t i, const MetroResult& r) {
-                        EXPECT_EQ(i, supervised.size());
-                        supervised.push_back(serialize_metro_result(r));
-                      });
+  const core::SupervisorReport report = core::sweep(
+      supervisor, axis.size(), users_shard(base, axis),
+      collect_into(supervised), serialize_metro_result,
+      deserialize_metro_result);
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(supervised, serial);
 }
@@ -333,13 +343,23 @@ TEST(MetroTest, BuilderValidatesAtBuild) {
   bad.sim_shards = 2;  // one event queue: only 1 is legal
   EXPECT_THROW(MetroBuilder().cell(bad).build(), std::invalid_argument);
 
-  core::Supervisor supervisor;
+  // A traced template is valid, but its results cannot cross the process
+  // boundary: the supervised sweep reports the codec's refusal as a
+  // deterministic error for the shard.
   cell::CellConfig traced = cell;
   traced.per_ue.stack.trace = true;
-  EXPECT_THROW(
-      run_metro_sweep(MetroBuilder().cell(traced).build(), {2},
-                      core::SweepExecution::supervised(supervisor), {}),
-      std::invalid_argument);
+  const MetroConfig traced_metro = MetroBuilder().cell(traced).build();
+  const std::vector<int> axis{2};
+  core::Supervisor supervisor;
+  const core::SupervisorReport report = core::sweep(
+      supervisor, axis.size(), users_shard(traced_metro, axis),
+      [](std::size_t, MetroResult&&) { ADD_FAILURE() << "traced shard merged"; },
+      serialize_metro_result, deserialize_metro_result);
+  ASSERT_EQ(report.errors.size(), 1u);
+  EXPECT_TRUE(report.errors[0].deterministic);
+  EXPECT_NE(report.errors[0].what.find("traced results cannot cross"),
+            std::string::npos)
+      << report.errors[0].what;
 }
 
 TEST(MetroTest, TracedMobilityRunAuditsCleanPerUe) {

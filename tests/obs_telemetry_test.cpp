@@ -16,6 +16,7 @@
 #include "cell/cell.hpp"
 #include "core/scenario.hpp"
 #include "core/supervisor.hpp"
+#include "core/sweep.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -399,18 +400,28 @@ TEST(CellTelemetryTest, SupervisedSweepCarriesSeriesBitIdentically) {
   // supervised sweep, series included, byte for byte.
   const auto config = telemetry_cell(5.0);
   const std::vector<int> axis{2, 4, 6};
+  const auto shard = [&](std::size_t i) {
+    cell::CellConfig point = config;
+    point.users = axis[i];
+    return cell::run_cell(point);
+  };
+  core::BatchRunner serial(1);
   std::vector<cell::CellResult> reference(axis.size());
-  cell::run_cell_sweep(
-      config, axis, core::SweepExecution::serial(),
-      [&](std::size_t i, const cell::CellResult& r) { reference[i] = r; });
+  core::sweep(serial, axis.size(), shard,
+              [&](std::size_t i, cell::CellResult&& r) {
+                reference[i] = std::move(r);
+              });
 
   core::SupervisorConfig sup_config;
   sup_config.workers = 2;
   core::Supervisor supervisor(sup_config);
   std::vector<cell::CellResult> supervised(axis.size());
-  const core::SupervisorReport report = cell::run_cell_sweep(
-      config, axis, core::SweepExecution::supervised(supervisor),
-      [&](std::size_t i, const cell::CellResult& r) { supervised[i] = r; });
+  const core::SupervisorReport report = core::sweep(
+      supervisor, axis.size(), shard,
+      [&](std::size_t i, cell::CellResult&& r) {
+        supervised[i] = std::move(r);
+      },
+      cell::serialize_cell_result, cell::deserialize_cell_result);
   ASSERT_TRUE(report.ok()) << report.summary();
 
   for (std::size_t i = 0; i < axis.size(); ++i) {
