@@ -55,12 +55,13 @@ inline void print_script_memo_stats() {
   const web::js::ScriptMemoStats s = web::js::script_memo_stats();
   std::fprintf(stderr,
                "js memo: hits %llu misses %llu admitted %llu evicted %llu "
-               "bytes %llu\n",
+               "bytes %llu caught_up %llu\n",
                static_cast<unsigned long long>(s.hits),
                static_cast<unsigned long long>(s.misses),
                static_cast<unsigned long long>(s.admitted),
                static_cast<unsigned long long>(s.evicted),
-               static_cast<unsigned long long>(s.bytes));
+               static_cast<unsigned long long>(s.bytes),
+               static_cast<unsigned long long>(s.caught_up));
 }
 
 /// The process-wide batch engine every harness shares: one thread pool of

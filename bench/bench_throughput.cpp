@@ -53,6 +53,9 @@ int main(int argc, char** argv) {
   }
   const double serial_s = seconds_since(serial_start);
 
+  // The serial pass stored every script outcome; without a reset the pool
+  // would replay them, and the speedup would measure the memo.
+  web::js::reset_script_memo();
   core::BatchRunner runner(
       static_cast<int>(bench::knobs().u64_or("EAB_JOBS", 0)));
   const auto parallel_start = Clock::now();

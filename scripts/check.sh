@@ -55,7 +55,10 @@ run_parse_oracle() {
 echo "== batch: worker-count determinism =="
 # EAB_JOBS promises bit-identical results for any worker count.  Each bench
 # runs serially and on four workers, from its own directory per count; stdout
-# and every artifact it writes must match byte for byte.
+# and every artifact it writes must match byte for byte.  The metro runs
+# too: the script-outcome memo stores every pure outcome on first sight, so
+# which runs replay depends on scheduling, and the bytes must not.
+metro_env="EAB_METRO_GRID_W=2 EAB_METRO_GRID_H=2 EAB_METRO_USERS=6 EAB_METRO_HORIZON=120"
 jobs_dir=build/bench/jobs_check
 rm -rf "$jobs_dir"
 for n in 1 4; do
@@ -65,6 +68,8 @@ for n in 1 4; do
     (cd "$jobs_dir/j$n" && EAB_JOBS=$n EAB_CHAOS_SEEDS=32 "../../$b" \
       > "$b.stdout.txt")
   done
+  (cd "$jobs_dir/j$n" && env $metro_env EAB_JOBS=$n ../../bench_metro \
+    > bench_metro.stdout.txt)
 done
 diff <(ls "$jobs_dir/j1") <(ls "$jobs_dir/j4")
 for f in "$jobs_dir"/j1/*; do
@@ -298,7 +303,6 @@ EAB_METRO_SWEEP_SEEDS=16 ./build-asan/tests/metro_test \
 metro=build/bench/metro_check
 rm -rf "$metro"
 mkdir -p "$metro"
-metro_env="EAB_METRO_GRID_W=2 EAB_METRO_GRID_H=2 EAB_METRO_USERS=6 EAB_METRO_HORIZON=120"
 (cd build/bench && env $metro_env ./bench_metro > metro_check/ref_stdout.txt)
 cp build/bench/BENCH_metro.json "$metro/ref_metro.json"
 (cd build/bench && env $metro_env EAB_SUPERVISE=1 EAB_JOBS=2 \

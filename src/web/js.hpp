@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -60,6 +61,14 @@ struct Token {
 
 /// Tokenizes a script. Throws JsError on malformed literals.
 std::vector<Token> tokenize(std::string_view source);
+
+/// The script's layout-free text: every run of whitespace and comments
+/// outside string literals cut to one space, string literals copied byte
+/// for byte.  One pass by tokenize's rules, so the text lexes to the same
+/// tokens (offsets aside) and runs identically.  From a byte tokenize
+/// rejects as unexpected, the rest is copied as is.  nullopt exactly when
+/// tokenize reports an unterminated string literal or block comment.
+std::optional<std::string> layout_free_text(std::string_view source);
 
 // ---------------------------------------------------------------------------
 // AST
@@ -201,14 +210,15 @@ struct ResolvedProgram;
 /// Interpreter with a persistent global scope, so consecutive scripts on one
 /// page share state exactly as the paper requires.
 ///
-/// A script's outcome is a pure function of the sources run before it on
-/// the page, its own source and the op budget, unless it draws
+/// A script's outcome is a pure function of the scripts run before it on
+/// the page, its own tokens and the op budget, unless it draws
 /// Math.random().  run() therefore consults a process-wide script-outcome
-/// memo keyed on exactly that chain: a hit replays the stored RunResult and
-/// host-call log instead of evaluating, and the globals catch up lazily, by
-/// re-running the replayed sources with host effects dropped, before the
-/// next evaluated script or global() reads them.  Results, host calls and
-/// op counts are identical either way; only host time differs.
+/// memo keyed on exactly that chain, each script by its layout-free text: a
+/// hit replays the stored RunResult and host-call log instead of
+/// evaluating, and the globals catch up lazily, by re-running the replayed
+/// scripts with host effects dropped, before the next evaluated script or
+/// global() reads them.  Results, host calls and op counts are identical
+/// either way; only host time differs.
 class Interpreter {
  public:
   explicit Interpreter(JsHost& host, std::uint64_t op_budget = 50'000'000);
@@ -224,9 +234,13 @@ class Interpreter {
   /// Reads a global variable (tests / diagnostics).
   Value global(const std::string& name);
 
+  /// The memo's chain hash after the scripts run so far (tests).
+  std::uint64_t chain_hash() const { return chain_hash_; }
+
  private:
-  /// Evaluates `source` against the globals, routing host calls to `host`.
-  RunResult evaluate(std::string_view source, JsHost& host);
+  /// Evaluates `source` against the globals, routing host calls to `host`;
+  /// sets `parsed` once the source has parsed and resolved.
+  RunResult evaluate(std::string_view source, JsHost& host, bool& parsed);
   /// Applies the replayed scripts' effects on the globals.
   void catch_up();
 
@@ -241,7 +255,7 @@ class Interpreter {
   /// Scripts that declare functions stay alive: function values point into
   /// them.
   std::vector<std::shared_ptr<const ResolvedProgram>> retained_programs_;
-  /// Chain hash over the op budget and every source run so far.
+  /// Chain hash over the op budget and every script's memo key so far.
   std::uint64_t chain_hash_;
   /// Memo id of the last script's stored outcome, 0 before the first
   /// script.  Once a script's outcome is not stored, nothing later in the
@@ -254,19 +268,20 @@ class Interpreter {
 /// Host-only counters of the script-outcome memo.  They describe host
 /// work, not the simulation, and stay out of every deterministic output.
 struct ScriptMemoStats {
-  std::uint64_t hits = 0;      ///< runs replayed from a stored outcome
-  std::uint64_t misses = 0;    ///< runs evaluated
-  std::uint64_t admitted = 0;  ///< outcomes stored
-  std::uint64_t evicted = 0;   ///< outcomes dropped to stay under the cap
-  std::uint64_t bytes = 0;     ///< current footprint of the stored outcomes
+  std::uint64_t hits = 0;       ///< runs replayed from a stored outcome
+  std::uint64_t misses = 0;     ///< runs evaluated
+  std::uint64_t admitted = 0;   ///< outcomes stored
+  std::uint64_t evicted = 0;    ///< outcomes dropped to stay under the cap
+  std::uint64_t bytes = 0;      ///< current footprint of the stored outcomes
+  std::uint64_t caught_up = 0;  ///< replayed scripts re-run for the globals
 };
 
 /// The process-wide memo's counters since start-up or the last reset.
 ScriptMemoStats script_memo_stats();
 
-/// Empties the memo and its sightings and zeroes the counters, so the next
-/// run of every script is evaluated (tests and bench_obs_overhead measure
-/// cold runs with this).
+/// Empties the memo and zeroes the counters, so the next run of every
+/// script is evaluated (tests and bench_obs_overhead measure cold runs with
+/// this).
 void reset_script_memo();
 
 }  // namespace eab::web::js

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <list>
@@ -844,9 +843,11 @@ class Evaluator {
 // One per process, shared by every Interpreter on every thread.  An outcome
 // is keyed on its whole chain: the id of the previous script's stored
 // outcome (ids only ever grow, so an evicted entry's id is never reused and
-// cannot alias another chain), this script's full source and the op budget,
-// all compared for equality on lookup.  A 64-bit hash of the chain picks the
-// bucket and the sighting slot, nothing more.
+// cannot alias another chain), this script's key and the op budget, all
+// compared for equality on lookup.  The key is the script's layout-free
+// text, which runs exactly as the source does; an outcome whose error names
+// a raw source offset also matches only its own bytes.  A 64-bit hash of
+// the chain picks the bucket, nothing more.
 
 struct ScriptOutcome {
   /// One host call the script made, in program order.
@@ -858,7 +859,10 @@ struct ScriptOutcome {
   std::uint64_t id = 0;
   std::uint64_t parent_id = 0;
   std::uint64_t budget = 0;
-  std::string source;
+  std::string key;  ///< script_key of the source
+  /// The source's own bytes, when tokenize or parse failed: that error
+  /// text holds a raw offset.
+  std::optional<std::string> raw;
   RunResult result;
   std::vector<HostCall> calls;
   std::uint64_t chain_hash = 0;
@@ -873,12 +877,22 @@ using HostCall = ScriptOutcome::HostCall;
 constexpr std::uint64_t kUnstored = ~std::uint64_t{0};
 /// The memo's byte cap; least recently used outcomes go first past it.
 constexpr std::size_t kMemoCapBytes = std::size_t{1} << 20;
-/// Direct-mapped slots remembering chain hashes seen once (2^12 slots,
-/// 32 KiB).
-constexpr int kSketchBits = 12;
 /// Allocator and container bookkeeping charged per entry and per string.
 constexpr std::size_t kEntryOverhead = 128;
 constexpr std::size_t kStringOverhead = 16;
+
+/// A script's memo key: its layout-free text, or, for a source that text
+/// cannot be cut from, its raw bytes behind a '\n'.  No layout-free text
+/// starts with '\n': outside string literals it holds whitespace only as
+/// ' '.
+std::string script_key(std::string_view source) {
+  if (std::optional<std::string> text = layout_free_text(source)) {
+    return std::move(*text);
+  }
+  std::string key(1, '\n');
+  key += source;
+  return key;
+}
 
 /// Folds one word into a chain hash.
 std::uint64_t chain_fold(std::uint64_t hash, std::uint64_t word) {
@@ -886,8 +900,7 @@ std::uint64_t chain_fold(std::uint64_t hash, std::uint64_t word) {
   return hash ^ (hash >> 32);
 }
 
-/// Folds a source's length, then its bytes eight at a time, into a chain
-/// hash.
+/// Folds a key's length, then its bytes eight at a time, into a chain hash.
 std::uint64_t extend_chain(std::uint64_t hash, std::string_view bytes) {
   hash = chain_fold(hash, bytes.size());
   std::size_t at = 0;
@@ -906,9 +919,10 @@ std::uint64_t extend_chain(std::uint64_t hash, std::string_view bytes) {
 
 std::size_t footprint(const ScriptOutcome& outcome) {
   std::size_t bytes = sizeof(ScriptOutcome) + kEntryOverhead +
-                      outcome.source.capacity() + kStringOverhead +
+                      outcome.key.capacity() + kStringOverhead +
                       outcome.result.error.capacity() +
                       outcome.calls.capacity() * sizeof(HostCall);
+  if (outcome.raw) bytes += outcome.raw->capacity() + kStringOverhead;
   for (const HostCall& call : outcome.calls) {
     bytes += call.text.capacity() + kStringOverhead;
   }
@@ -919,28 +933,20 @@ class ScriptMemo {
  public:
   using Entry = std::shared_ptr<const ScriptOutcome>;
 
-  struct Probe {
-    Entry hit;           ///< the stored outcome, on a hit
-    bool admit = false;  ///< on a miss: store the outcome if it is pure
-  };
-
-  /// Looks the chain up.  A miss records the sighting and admits the
-  /// outcome if this chain was sighted before.
-  Probe probe(std::uint64_t chain_hash, std::uint64_t parent_id,
-              std::string_view source, std::uint64_t budget) {
+  /// The stored outcome of this chain, or nullptr on a miss.
+  Entry lookup(std::uint64_t chain_hash, std::uint64_t parent_id,
+               std::string_view key, std::string_view source,
+               std::uint64_t budget) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (parent_id != kUnstored) {
-      if (auto found = find(chain_hash, parent_id, source, budget)) {
+      if (auto found = find(chain_hash, parent_id, key, source, budget)) {
         lru_.splice(lru_.begin(), lru_, *found);
         ++stats_.hits;
-        return {**found, false};
+        return **found;
       }
     }
     ++stats_.misses;
-    std::uint64_t& slot = sketch_[sketch_slot(chain_hash)];
-    const bool sighted = slot == chain_hash;
-    slot = chain_hash;
-    return {nullptr, sighted && parent_id != kUnstored};
+    return nullptr;
   }
 
   /// Stores an outcome and returns its id; kUnstored if it alone exceeds
@@ -950,8 +956,9 @@ class ScriptMemo {
     outcome.bytes = footprint(outcome);
     if (outcome.bytes > kMemoCapBytes) return kUnstored;
     std::lock_guard<std::mutex> lock(mutex_);
-    if (auto found = find(outcome.chain_hash, outcome.parent_id,
-                          outcome.source, outcome.budget)) {
+    if (auto found = find(outcome.chain_hash, outcome.parent_id, outcome.key,
+                          outcome.raw ? std::string_view(*outcome.raw) : "",
+                          outcome.budget)) {
       return (**found)->id;
     }
     outcome.id = next_id_++;
@@ -964,6 +971,11 @@ class ScriptMemo {
     return stored.id;
   }
 
+  void count_caught_up(std::size_t scripts) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats_.caught_up += scripts;
+  }
+
   ScriptMemoStats stats() {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
@@ -973,26 +985,22 @@ class ScriptMemo {
     std::lock_guard<std::mutex> lock(mutex_);
     lru_.clear();
     index_.clear();
-    sketch_.fill(0);
     stats_ = {};  // next_id_ keeps growing: ids are never reused
   }
 
  private:
   using Lru = std::list<Entry>;
 
-  static std::size_t sketch_slot(std::uint64_t chain_hash) {
-    return (chain_hash * 0xBF58476D1CE4E5B9ULL) >> (64 - kSketchBits);
-  }
-
   std::optional<Lru::iterator> find(std::uint64_t chain_hash,
                                     std::uint64_t parent_id,
+                                    std::string_view key,
                                     std::string_view source,
                                     std::uint64_t budget) {
     auto [it, end] = index_.equal_range(chain_hash);
     for (; it != end; ++it) {
       const ScriptOutcome& stored = **it->second;
       if (stored.parent_id == parent_id && stored.budget == budget &&
-          stored.source == source) {
+          stored.key == key && (!stored.raw || *stored.raw == source)) {
         return it->second;
       }
     }
@@ -1012,7 +1020,6 @@ class ScriptMemo {
   std::mutex mutex_;
   Lru lru_;  ///< most recently used first
   std::unordered_multimap<std::uint64_t, Lru::iterator> index_;
-  std::array<std::uint64_t, std::size_t{1} << kSketchBits> sketch_{};
   std::uint64_t next_id_ = 1;  ///< 0 is the empty chain
   ScriptMemoStats stats_;
 };
@@ -1075,34 +1082,41 @@ Interpreter::Interpreter(JsHost& host, std::uint64_t op_budget)
 
 RunResult Interpreter::run(std::string_view source) {
   ScriptMemo& memo = script_memo();
-  chain_hash_ = extend_chain(chain_hash_, source);
-  const ScriptMemo::Probe probe =
-      memo.probe(chain_hash_, parent_id_, source, op_budget_);
-  if (probe.hit) {
-    for (const HostCall& call : probe.hit->calls) {
+  std::string key = script_key(source);
+  chain_hash_ = extend_chain(chain_hash_, key);
+  if (const ScriptMemo::Entry hit =
+          memo.lookup(chain_hash_, parent_id_, key, source, op_budget_)) {
+    for (const HostCall& call : hit->calls) {
       if (call.request) {
         host_.request_resource(call.text, *call.request);
       } else {
         host_.document_write(call.text);
       }
     }
-    parent_id_ = probe.hit->id;
-    total_ops_ += probe.hit->result.ops;
-    stale_.push_back(probe.hit);
-    return probe.hit->result;
+    parent_id_ = hit->id;
+    total_ops_ += hit->result.ops;
+    stale_.push_back(hit);
+    return hit->result;
   }
 
   catch_up();
-  RecordingHost recorder(host_, probe.admit);
-  RunResult result = evaluate(source, recorder);
+  const bool store = parent_id_ != kUnstored;
+  RecordingHost recorder(host_, store);
+  bool parsed = false;
+  RunResult result = evaluate(source, recorder, parsed);
   total_ops_ += result.ops;
-  if (probe.admit && recorder.draws() == 0) {
+  if (store && recorder.draws() == 0) {
+    // Every string and vector at its exact size: footprint() counts
+    // capacity.
     ScriptOutcome outcome;
     outcome.parent_id = parent_id_;
     outcome.budget = op_budget_;
-    outcome.source = source;
+    key.shrink_to_fit();
+    outcome.key = std::move(key);
+    if (!parsed) outcome.raw.emplace(source);
     outcome.result = result;
     outcome.calls = recorder.take_calls();
+    outcome.calls.shrink_to_fit();
     outcome.chain_hash = chain_hash_;
     parent_id_ = memo.insert(std::move(outcome));
   } else {
@@ -1111,12 +1125,14 @@ RunResult Interpreter::run(std::string_view source) {
   return result;
 }
 
-RunResult Interpreter::evaluate(std::string_view source, JsHost& host) {
+RunResult Interpreter::evaluate(std::string_view source, JsHost& host,
+                                bool& parsed) {
   RunResult result;
   Evaluator evaluator(globals_, host, op_budget_);
   try {
     auto program = std::make_shared<const ResolvedProgram>(
         resolve(parse(source), name_ids_));
+    parsed = true;
     globals_.resize(name_ids_.size());
     if (program->declares_functions) retained_programs_.push_back(program);
     evaluator.run(*program);
@@ -1131,8 +1147,11 @@ RunResult Interpreter::evaluate(std::string_view source, JsHost& host) {
 }
 
 void Interpreter::catch_up() {
+  if (stale_.empty()) return;
+  script_memo().count_caught_up(stale_.size());
   DroppingHost dropping;
-  for (const auto& outcome : stale_) evaluate(outcome->source, dropping);
+  bool parsed = false;
+  for (const auto& outcome : stale_) evaluate(outcome->key, dropping, parsed);
   stale_.clear();
 }
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdlib>
 
 #include "web/ascii.hpp"
@@ -19,15 +20,91 @@ bool is_keyword(const std::string& word) {
   return false;
 }
 
-bool is_ident_start(char c) {
+constexpr bool is_ident_start(char c) {
   return ascii::is_alpha(c) || c == '_' || c == '$';
 }
 
-bool is_ident_char(char c) {
+constexpr bool is_ident_char(char c) {
   return ascii::is_alnum(c) || c == '_' || c == '$';
 }
 
+/// One-character punctuators; "&&" and "||" exist only as pairs.
+constexpr std::string_view kSinglePunct = "+-*/%=<>!(){}[],;.:";
+
+/// What layout_free_text does with a byte outside strings and comments,
+/// by the rule tokenize applies to it.
+enum LayoutClass : std::uint8_t {
+  kStop,   ///< tokenize rejects it as an unexpected character
+  kCopy,   ///< part of a number, identifier or punctuator
+  kGap,    ///< whitespace
+  kSlash,  ///< a comment opener or a punctuator
+  kQuote,  ///< opens a string literal
+  kPair,   ///< '&' or '|': a punctuator only when doubled
+};
+
+constexpr std::array<std::uint8_t, 256> kLayoutClass = [] {
+  std::array<std::uint8_t, 256> table{};
+  for (int c = 0; c < 256; ++c) {
+    const char byte = static_cast<char>(c);
+    if (ascii::is_space(byte)) table[c] = kGap;
+    if (is_ident_char(byte)) table[c] = kCopy;
+  }
+  for (const char c : kSinglePunct) table[static_cast<unsigned char>(c)] = kCopy;
+  table['/'] = kSlash;
+  table['"'] = table['\''] = kQuote;
+  table['&'] = table['|'] = kPair;
+  return table;
+}();
+
 }  // namespace
+
+std::optional<std::string> layout_free_text(std::string_view source) {
+  std::string text;
+  const std::size_t n = source.size();
+  std::size_t i = 0;
+  bool gap = false;  // a run of whitespace and comments awaits its space
+  while (i < n) {
+    const char c = source[i];
+    const std::uint8_t kind = kLayoutClass[static_cast<unsigned char>(c)];
+    const char next = i + 1 < n ? source[i + 1] : '\0';
+    if (kind == kGap || (kind == kSlash && next == '/')) {
+      gap = true;
+      i = kind == kGap ? i + 1 : std::min(source.find('\n', i), n);
+      continue;
+    }
+    if (kind == kSlash && next == '*') {
+      const std::size_t close = source.find("*/", i + 2);
+      if (close == std::string_view::npos) return std::nullopt;
+      gap = true;
+      i = close + 2;
+      continue;
+    }
+    if (gap) text.push_back(' ');
+    gap = false;
+    std::size_t end = i + 1;
+    if (kind == kCopy) {
+      while (end < n &&
+             kLayoutClass[static_cast<unsigned char>(source[end])] == kCopy) {
+        ++end;
+      }
+    } else if (kind == kQuote) {
+      while (end < n && source[end] != c) {
+        end += source[end] == '\\' && end + 1 < n ? 2 : 1;
+      }
+      if (end >= n) return std::nullopt;
+      ++end;  // closing quote
+    } else if (kind == kPair && next == c) {
+      end = i + 2;
+    } else if (kind != kSlash) {
+      // tokenize stops at this byte, so nothing after it is layout.
+      end = n;
+    }
+    text.append(source.substr(i, end - i));
+    i = end;
+  }
+  if (gap) text.push_back(' ');
+  return text;
+}
 
 std::vector<Token> tokenize(std::string_view source) {
   std::vector<Token> tokens;
@@ -131,8 +208,7 @@ std::vector<Token> tokenize(std::string_view source) {
         }
       }
       if (!matched) {
-        static constexpr std::string_view kSingle = "+-*/%=<>!(){}[],;.:";
-        if (kSingle.find(c) == std::string_view::npos) {
+        if (kSinglePunct.find(c) == std::string_view::npos) {
           error(std::string("unexpected character '") + c + "'");
         }
         token.text = std::string(1, c);

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
+
+#include "corpus/page_spec.hpp"
+#include "support/fuzz_inputs.hpp"
+#include "support/js_chain.hpp"
 
 namespace eab::web::js {
 namespace {
@@ -65,6 +74,109 @@ TEST(JsLexer, ErrorsOnBadInput) {
   EXPECT_THROW(tokenize("\"unterminated"), JsError);
   EXPECT_THROW(tokenize("var x = @;"), JsError);
   EXPECT_THROW(tokenize("/* never closed"), JsError);
+}
+
+// --- layout-free text ----------------------------------------------------
+//
+// The script-outcome memo keys a script on layout_free_text, so the text
+// must lex to the source's tokens, offsets aside, and be refused exactly
+// where the lexer reports an unterminated string literal or block comment.
+
+/// Every token's type, text and number without its offset, or the lexer's
+/// error without its offset.
+std::string lexed(std::string_view source) {
+  std::string out;
+  try {
+    for (const Token& token : tokenize(source)) {
+      out += std::to_string(static_cast<int>(token.type)) + " " + token.text +
+             " " + std::to_string(std::bit_cast<std::uint64_t>(token.number)) +
+             "\n";
+    }
+  } catch (const JsError& error) {
+    const std::string what = error.what();
+    out = "error " + what.substr(0, what.rfind(" at offset"));
+  }
+  return out;
+}
+
+void expect_layout_free_lexes_alike(std::string_view source) {
+  const std::optional<std::string> text = layout_free_text(source);
+  const std::string tokens = lexed(source);
+  EXPECT_EQ(text.has_value(), !tokens.starts_with("error unterminated"))
+      << source << "\n" << tokens;
+  if (!text) return;
+  EXPECT_EQ(lexed(*text), tokens) << source;
+  // A key is its own layout-free text, and never starts with the '\n' that
+  // tags the memo's raw keys.
+  EXPECT_EQ(layout_free_text(*text), text) << source;
+  EXPECT_FALSE(text->starts_with('\n')) << source;
+}
+
+TEST(JsLayoutFree, CutsLayoutAndKeepsStrings) {
+  EXPECT_EQ(layout_free_text("var  a =\t1; // note\n\r\nb/* x */=2;"),
+            "var a = 1; b =2;");
+  EXPECT_EQ(layout_free_text("a/**/b"), "a b");
+  EXPECT_EQ(layout_free_text("a/ /b"), "a/ /b");
+  EXPECT_EQ(layout_free_text("x = \"http://x\";"), "x = \"http://x\";");
+  EXPECT_EQ(layout_free_text("x = '/*';"), "x = '/*';");
+  EXPECT_EQ(layout_free_text("x = \"a\\\"//b\";  "), "x = \"a\\\"//b\"; ");
+  EXPECT_EQ(layout_free_text("x = 1; //"), "x = 1; ");
+  EXPECT_EQ(layout_free_text("  \n"), " ");
+  EXPECT_EQ(layout_free_text(""), "");
+  // tokenize stops at an unexpected byte, so the rest is kept as is.
+  EXPECT_EQ(layout_free_text("a  # b  'c"), "a # b  'c");
+  EXPECT_EQ(layout_free_text("a & b"), "a & b");
+  EXPECT_EQ(layout_free_text("a  &&  b"), "a && b");
+  EXPECT_EQ(layout_free_text("'open"), std::nullopt);
+  EXPECT_EQ(layout_free_text("x = 1 /* open *"), std::nullopt);
+  EXPECT_EQ(layout_free_text("'\\"), std::nullopt);
+}
+
+TEST(JsLayoutFree, HandCasesLexAlike) {
+  for (const char* source :
+       {"\"http://x\"", "'/*'", "\"a\\\"//b\"", "a/**/b", "a/ /b",
+        "a\t\tb\t", "a\r\nb\rc\n", "x = 1; //", "x = 1; // note",
+        "a /= b / c", "a */ b", "1/**/.5", "+/**/=", "a && b || c",
+        "a &&& b", "a | b", "'\\'", "'\\", "\"", "/*", "/*/", "/**/",
+        "x = 'a\nb';", "#'open", "a & 'open", "a || 'open", "'it''s'",
+        "\v\f x"}) {
+    expect_layout_free_lexes_alike(source);
+  }
+}
+
+TEST(JsLayoutFree, CorpusScriptsLexAlike) {
+  // Every Table-3 page x 4 spec variants x seeds 1-3, as perfbench's
+  // page_loads draws them.
+  for (const corpus::PageSpec& page : test::table3_pages()) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      for (const corpus::PageSpec& spec : corpus::spec_variants(page, 4, seed)) {
+        for (const std::string& source : test::page_scripts(spec, seed)) {
+          expect_layout_free_lexes_alike(source);
+        }
+      }
+    }
+  }
+}
+
+TEST(JsLayoutFree, FuzzSoupsLexAlike) {
+  for (const std::uint64_t seed : {100, 200, 300}) {
+    for (const std::string& source : test::js_fuzz_inputs(seed)) {
+      expect_layout_free_lexes_alike(source);
+    }
+  }
+}
+
+TEST(JsLayoutFree, EveryPrefixOfACorpusScriptLexesAlike) {
+  // A truncated fetch cuts a script anywhere: mid-comment, mid-string,
+  // between the two '/' of a comment opener.  The page's last script is an
+  // external one: code, then comment padding.
+  const std::string source =
+      test::page_scripts(test::table3_pages().front(), 1).back();
+  ASSERT_NE(source.find("// "), std::string::npos);
+  ASSERT_NE(source.find('\''), std::string::npos);
+  for (std::size_t size = 0; size <= source.size(); ++size) {
+    expect_layout_free_lexes_alike(std::string_view(source).substr(0, size));
+  }
 }
 
 // --- parser --------------------------------------------------------------
