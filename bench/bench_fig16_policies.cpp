@@ -10,60 +10,6 @@
 
 #include "core/session.hpp"
 
-namespace {
-
-using namespace eab;
-
-struct SessionTotals {
-  Joules energy = 0;
-  Seconds delay = 0;
-  int audit_failures = 0;  ///< sessions whose trace violated an invariant
-};
-
-/// Runs every user's visit sequence under one policy and sums the totals.
-/// Sessions of different policies end at different times; energy is compared
-/// over a common horizon by padding the shorter session with IDLE power.
-/// Under EAB_TRACE=1 each session records a full trace and the TraceAuditor
-/// replays it against the session's own radio config and energy integral.
-SessionTotals run_policy(
-    const std::vector<std::vector<core::PageVisit>>& sessions,
-    core::SessionPolicy policy, Seconds threshold, const gbrt::GbrtModel* model,
-    Seconds horizon_per_user) {
-  SessionTotals totals;
-  core::SessionConfig config;
-  config.policy = policy;
-  config.threshold = threshold;
-  config.model = model;
-  const bool traced = bench::knobs().flag("EAB_TRACE");
-  config.stack.trace = traced;
-  std::uint64_t seed = 1;
-  for (const auto& visits : sessions) {
-    const auto result = core::run_session(visits, config, seed++);
-    totals.energy += result.energy.with_reading_j;
-    if (result.energy.window_s < horizon_per_user) {
-      totals.energy +=
-          config.stack.power.idle * (horizon_per_user - result.energy.window_s);
-    }
-    totals.delay += result.total_load_delay;
-    if (traced) {
-      const auto report = obs::TraceAuditor().audit(
-          *result.trace,
-          core::make_audit_inputs(config.stack, result.energy.radio_j,
-                                  result.energy.window_s));
-      if (!report.ok()) {
-        ++totals.audit_failures;
-        std::printf("AUDIT FAIL [%s user %llu]:\n%s\n",
-                    core::to_string(policy),
-                    static_cast<unsigned long long>(seed - 1),
-                    report.summary().c_str());
-      }
-    }
-  }
-  return totals;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace eab;
   if (bench::maybe_print_help(
@@ -100,10 +46,6 @@ int main(int argc, char** argv) {
   for (const auto& s : sessions) pages += s.size();
   std::printf("sessions: %zu users, %zu page views\n\n", sessions.size(), pages);
 
-  const Seconds horizon = trace_config.browsing_per_user * 2.5;
-  const SessionTotals baseline = run_policy(
-      sessions, core::SessionPolicy::kBaseline, 0, nullptr, horizon);
-
   struct Case {
     const char* name;
     core::SessionPolicy policy;
@@ -112,6 +54,7 @@ int main(int argc, char** argv) {
     const char* paper;
   };
   const Case cases[] = {
+      {"Baseline", core::SessionPolicy::kBaseline, 0, false, ""},
       {"Original Always-off", core::SessionPolicy::kOriginalAlwaysOff, 0, false,
        "delay -1.47%"},
       {"Energy-Aware Always-off", core::SessionPolicy::kEnergyAwareAlwaysOff, 0,
@@ -125,21 +68,65 @@ int main(int argc, char** argv) {
       {"Predict-20", core::SessionPolicy::kPredict, core::kDelayDrivenThreshold,
        true, "slightly below Accurate-20"},
   };
-
-  int audit_failures = baseline.audit_failures;
-  TextTable table({"case", "power saving", "delay saving", "paper"});
+  const bool traced = bench::knobs().flag("EAB_TRACE");
+  std::vector<core::SessionConfig> configs;
   for (const Case& c : cases) {
-    const SessionTotals totals =
-        run_policy(sessions, c.policy, c.threshold,
-                   c.needs_model ? &model : nullptr, horizon);
-    audit_failures += totals.audit_failures;
-    table.add_row({c.name,
-                   format_percent(bench::saving(baseline.energy, totals.energy)),
-                   format_percent(bench::saving(baseline.delay, totals.delay)),
-                   c.paper});
+    core::SessionConfig& config = configs.emplace_back();
+    config.policy = c.policy;
+    config.threshold = c.threshold;
+    config.model = c.needs_model ? &model : nullptr;
+    config.stack.trace = traced;
+  }
+
+  // One shard per (case, user): user u's session runs at seed u + 1 under
+  // every case.  Sessions of different policies end at different times, so
+  // energy is compared over a common horizon by padding the shorter session
+  // with IDLE power.  Under EAB_TRACE=1 the TraceAuditor replays each
+  // session's trace against its own radio config and energy integral.  The
+  // fold runs in index order, so every sum adds in the order of a serial
+  // loop over cases, then users.
+  const Seconds horizon = trace_config.browsing_per_user * 2.5;
+  const std::size_t users = sessions.size();
+  std::vector<Joules> energy(configs.size());
+  std::vector<Seconds> delay(configs.size());
+  int audit_failures = 0;
+  core::sweep(
+      bench::shared_runner(), configs.size() * users,
+      [&](std::size_t i) {
+        return core::run_session(sessions[i % users], configs[i / users],
+                                 i % users + 1);
+      },
+      [&](std::size_t i, core::SessionResult&& result) {
+        const core::SessionConfig& config = configs[i / users];
+        energy[i / users] += result.energy.with_reading_j;
+        if (result.energy.window_s < horizon) {
+          energy[i / users] +=
+              config.stack.power.idle * (horizon - result.energy.window_s);
+        }
+        delay[i / users] += result.total_load_delay;
+        if (!traced) return;
+        const auto report = obs::TraceAuditor().audit(
+            *result.trace,
+            core::make_audit_inputs(config.stack, result.energy.radio_j,
+                                    result.energy.window_s));
+        if (!report.ok()) {
+          ++audit_failures;
+          std::printf("AUDIT FAIL [%s user %zu]:\n%s\n",
+                      core::to_string(config.policy), i % users + 1,
+                      report.summary().c_str());
+        }
+      });
+
+  TextTable table({"case", "power saving", "delay saving", "paper"});
+  for (std::size_t c = 1; c < configs.size(); ++c) {
+    table.add_row(
+        {cases[c].name,
+         format_percent(bench::saving(energy[0], energy[c])),
+         format_percent(bench::saving(delay[0], delay[c])),
+         cases[c].paper});
   }
   std::printf("%s", table.render().c_str());
-  if (bench::knobs().flag("EAB_TRACE")) {
+  if (traced) {
     std::printf("audit: %d session traces violated invariants\n",
                 audit_failures);
   }

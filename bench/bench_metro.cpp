@@ -15,15 +15,15 @@
 //   3. Scale (EAB_METRO_SCALE=1) — one large grid sized to >= 100k
 //      concurrent simulated sessions, aggregated in constant memory.
 //
-// Execution mirrors bench_fig11_capacity --cell: the default path runs the
-// sweep through the shared in-process pool; EAB_SUPERVISE=1 moves it onto
-// forked, heartbeat-supervised workers with durable checkpoint resume under
-// EAB_CHECKPOINT_DIR (bench::sweep).  stdout and BENCH_metro.json are
-// byte-identical across in-process and supervised execution — check.sh
-// gates this.
-// Aggregation is streaming: the sweep consumer folds each MetroResult into
-// per-point summaries as it arrives and drops the full result (no
-// vectors-of-results across the axis).
+// Execution: every distinct run of the three questions is listed once and
+// the list runs as one bench::sweep over one journal (metro.journal): on the
+// shared in-process pool, or under EAB_SUPERVISE=1 on forked, supervised
+// workers with durable resume under EAB_CHECKPOINT_DIR.  stdout and
+// BENCH_metro.json are byte-identical either way and after a SIGKILL-resumed
+// journal — check.sh gates both.  A row that two questions share is one run:
+// the price table's dwell-0 instant row is its dwell-0 hard run, and its
+// configured-dwell hard row is the users table's top energy-aware point.
+// The consumer folds each MetroResult into a PointSummary as it arrives.
 #include "bench_common.hpp"
 
 #include "metro/metro.hpp"
@@ -32,22 +32,33 @@ namespace {
 
 using namespace eab;
 
-struct MetroParams {
+constexpr double kDropTarget = 0.05;  // 5 % dropping service level
+
+/// One metro run, and its key: equal runs are one run.
+struct Run {
+  browser::PipelineMode mode = browser::PipelineMode::kEnergyAware;
   int grid_w = 3;
   int grid_h = 3;
-  int max_users = 24;  // mean homes per cell, top of the axis
+  int users = 24;  // mean homes per cell
   std::uint64_t seed = 1;
   Seconds horizon = 600.0;
   Seconds dwell = 120.0;
   double hotspot = 0.5;
   metro::HandoverPolicy policy = metro::HandoverPolicy::kHard;
-  double target = 0.05;  // 5 % dropping service level
+
+  bool operator==(const Run&) const = default;
 };
+
+/// At dwell 0 no UE moves and move_ue is never called, so the policy cannot
+/// change a result: fold it to hard, making both policies one run.
+Run canonical(Run run) {
+  if (run.dwell == 0) run.policy = metro::HandoverPolicy::kHard;
+  return run;
+}
 
 /// The streaming fold of one metro run: everything the table, the capacity
 /// interpolation and the JSON artifact need, in O(1) memory per point.
 struct PointSummary {
-  int users = 0;  // mean homes per cell
   int total_users = 0;
   double drop = 0;
   std::uint64_t offered = 0;
@@ -72,9 +83,8 @@ double mean_ue_energy_of(const metro::MetroResult& result) {
   return ues == 0 ? 0 : total / static_cast<double>(ues);
 }
 
-PointSummary summarize(int users, const metro::MetroResult& result) {
+PointSummary summarize(const metro::MetroResult& result) {
   PointSummary s;
-  s.users = users;
   s.total_users = result.total_users;
   s.drop = result.drop_probability();
   s.offered = result.offered;
@@ -94,54 +104,35 @@ PointSummary summarize(int users, const metro::MetroResult& result) {
   return s;
 }
 
-metro::MetroConfig metro_config(browser::PipelineMode mode,
-                                const MetroParams& params) {
+metro::MetroConfig metro_config(const Run& run) {
   cell::CellConfig cell;
-  cell.per_ue = core::ScenarioBuilder(mode).build();
+  cell.per_ue = core::ScenarioBuilder(run.mode).build();
   cell.specs = corpus::mobile_benchmark();
-  cell.users = params.max_users;  // sweep_mode overrides per point
+  cell.users = run.users;
   cell.channels = 6;
-  cell.horizon = params.horizon;
-  cell.cell_seed = params.seed;
+  cell.horizon = run.horizon;
+  cell.cell_seed = run.seed;
   return metro::MetroBuilder()
-      .grid(params.grid_w, params.grid_h)
+      .grid(run.grid_w, run.grid_h)
       .cell(cell)
-      .mean_dwell(params.dwell)
-      .hotspot(params.hotspot)
-      .policy(params.policy)
+      .mean_dwell(run.dwell)
+      .hotspot(run.hotspot)
+      .policy(run.policy)
       .build();
-}
-
-/// Runs the per-cell-users sweep for one mode (bench::sweep: in process, or
-/// supervised under EAB_SUPERVISE=1), folding each result into a
-/// PointSummary on arrival.  Returns false if a supervised shard failed.
-bool sweep_mode(const char* label, const metro::MetroConfig& base,
-                const std::vector<int>& users_axis,
-                std::vector<PointSummary>& out) {
-  out.assign(users_axis.size(), PointSummary{});
-  return bench::sweep(
-      std::string("metro_") + label + ".journal", users_axis.size(),
-      [&](std::size_t i) {
-        metro::MetroConfig config = base;
-        config.cell.users = users_axis[i];
-        return metro::run_metro(config);
-      },
-      [&](std::size_t i, metro::MetroResult&& result) {
-        out[i] = summarize(users_axis[i], result);
-      },
-      metro::serialize_metro_result, metro::deserialize_metro_result);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace eab;
+  using enum browser::PipelineMode;
+  using enum metro::HandoverPolicy;
   if (bench::maybe_print_help(
           argc, argv, "bench_metro",
           "metro-scale multi-cell capacity with mobility and handover",
           {"EAB_METRO_GRID_W", "EAB_METRO_GRID_H", "EAB_METRO_USERS",
            "EAB_METRO_SEED", "EAB_METRO_HORIZON", "EAB_METRO_DWELL",
-           "EAB_METRO_HOTSPOT", "EAB_METRO_INSTANT", "EAB_METRO_SCALE",
+           "EAB_METRO_HOTSPOT", "EAB_METRO_SCALE",
            "EAB_SUPERVISE", "EAB_CHECKPOINT_DIR", "EAB_SELF_CHAOS",
            "EAB_SELF_CHAOS_KILLS", "EAB_SELF_CHAOS_ORC", "EAB_PROGRESS",
            "EAB_JOBS"})) {
@@ -150,42 +141,106 @@ int main(int argc, char** argv) {
   bench::print_header("Metro",
                       "multi-cell capacity with mobility and handover");
 
-  MetroParams params;
+  Run params;  // the configured metro; users is the top of the users axis
   params.grid_w = static_cast<int>(bench::knobs().u64_or("EAB_METRO_GRID_W", 3));
   params.grid_h = static_cast<int>(bench::knobs().u64_or("EAB_METRO_GRID_H", 3));
-  params.max_users =
-      static_cast<int>(bench::knobs().u64_or("EAB_METRO_USERS", 24));
+  params.users = static_cast<int>(bench::knobs().u64_or("EAB_METRO_USERS", 24));
   params.seed = bench::knobs().u64_or("EAB_METRO_SEED", 1);
   params.horizon = bench::knobs().f64_or("EAB_METRO_HORIZON", 600.0);
   params.dwell = bench::knobs().f64_or("EAB_METRO_DWELL", 120.0);
   params.hotspot = bench::knobs().f64_or("EAB_METRO_HOTSPOT", 0.5);
-  if (bench::knobs().flag("EAB_METRO_INSTANT")) {
-    params.policy = metro::HandoverPolicy::kInstant;
-  }
 
   // Four evenly spaced users points ending exactly at the configured top.
   std::vector<int> users_axis;
-  const int step = std::max(1, (params.max_users + 3) / 4);
-  for (int users = step; users < params.max_users; users += step) {
+  const int step = std::max(1, (params.users + 3) / 4);
+  for (int users = step; users < params.users; users += step) {
     users_axis.push_back(users);
   }
-  users_axis.push_back(params.max_users);
+  users_axis.push_back(params.users);
+
+  // The price of handover signalling: at the top of the users axis, sweep
+  // the dwell time (shorter dwell = more handovers) and compare the hard
+  // policy against the idealized instant one on the energy-aware pipeline.
+  std::vector<Seconds> dwell_axis{0.0};
+  if (params.dwell > 0) {
+    dwell_axis.insert(dwell_axis.end(), {4 * params.dwell, 2 * params.dwell,
+                                         params.dwell, params.dwell / 2});
+  }
+
+  // Optional scale point: one grid sized to >= 100k concurrent sessions,
+  // short horizon, still a single streaming fold.
+  const bool scale_on = bench::knobs().flag("EAB_METRO_SCALE");
+  Run scale_run = params;
+  scale_run.grid_w = 16;
+  scale_run.grid_h = 16;    // 256 cells, the metro's limit
+  scale_run.users = 391;    // 256 * 391 = 100,096 sessions
+  scale_run.horizon = 30.0;
+  scale_run.dwell = 60.0;
 
   std::printf("metro: %dx%d cells, 6 channel pairs each, %.0f s horizon, "
               "mean dwell %.0f s, hotspot %.2f, policy %s, seed %llu\n",
               params.grid_w, params.grid_h, params.horizon, params.dwell,
-              params.hotspot, metro::to_string(params.policy),
+              params.hotspot, metro::to_string(kHard),
               static_cast<unsigned long long>(params.seed));
+
+  // Every row looks its run up by key, so a row two questions share is one
+  // run.  The list holds each distinct run once, largest users/cell first so
+  // the slowest runs start at once.
+  const auto key = [&params](browser::PipelineMode mode, int users,
+                             Seconds dwell, metro::HandoverPolicy policy) {
+    Run run = params;
+    run.mode = mode;
+    run.users = users;
+    run.dwell = dwell;
+    run.policy = policy;
+    return canonical(run);
+  };
+  std::vector<Run> runs;
+  const auto list = [&runs](const Run& run) {
+    if (std::find(runs.begin(), runs.end(), run) == runs.end()) {
+      runs.push_back(run);
+    }
+  };
+  for (const auto mode : {kOriginal, kEnergyAware}) {
+    for (const int users : users_axis) {
+      list(key(mode, users, params.dwell, kHard));
+    }
+  }
+  for (const Seconds dwell : dwell_axis) {
+    list(key(kEnergyAware, users_axis.back(), dwell, kHard));
+    list(key(kEnergyAware, users_axis.back(), dwell, kInstant));
+  }
+  if (scale_on) list(scale_run);
+  std::stable_sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+    return a.users > b.users;
+  });
+
+  std::vector<PointSummary> summaries(runs.size());
+  if (!bench::sweep(
+          "metro.journal", runs.size(),
+          [&](std::size_t i) {
+            return metro::run_metro(metro_config(runs[i]));
+          },
+          [&](std::size_t i, metro::MetroResult&& result) {
+            summaries[i] = summarize(result);
+          },
+          metro::serialize_metro_result, metro::deserialize_metro_result)) {
+    return 1;
+  }
+  const auto summary_of = [&](const Run& run) -> const PointSummary& {
+    return summaries[static_cast<std::size_t>(
+        std::find(runs.begin(), runs.end(), run) - runs.begin())];
+  };
 
   std::vector<PointSummary> orig;
   std::vector<PointSummary> ea;
-  if (!sweep_mode("orig", metro_config(browser::PipelineMode::kOriginal, params),
-                  users_axis, orig)) {
-    return 1;
-  }
-  if (!sweep_mode("ea", metro_config(browser::PipelineMode::kEnergyAware, params),
-                  users_axis, ea)) {
-    return 1;
+  std::vector<double> orig_drops;
+  std::vector<double> ea_drops;
+  for (const int users : users_axis) {
+    orig.push_back(summary_of(key(kOriginal, users, params.dwell, kHard)));
+    ea.push_back(summary_of(key(kEnergyAware, users, params.dwell, kHard)));
+    orig_drops.push_back(orig.back().drop);
+    ea_drops.push_back(ea.back().drop);
   }
 
   TextTable table({"users/cell", "total UEs", "homes min..max", "drop% orig",
@@ -205,57 +260,25 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.render().c_str());
 
-  std::vector<double> orig_drops;
-  std::vector<double> ea_drops;
-  for (std::size_t i = 0; i < users_axis.size(); ++i) {
-    orig_drops.push_back(orig[i].drop);
-    ea_drops.push_back(ea[i].drop);
-  }
   const double cap_orig =
-      cell::users_at_drop_target(users_axis, orig_drops, params.target);
+      cell::users_at_drop_target(users_axis, orig_drops, kDropTarget);
   const double cap_ea =
-      cell::users_at_drop_target(users_axis, ea_drops, params.target);
+      cell::users_at_drop_target(users_axis, ea_drops, kDropTarget);
   std::printf("metro capacity at %.0f%% dropping: original %.1f users/cell, "
               "energy-aware %.1f users/cell -> +%.1f%%\n",
-              params.target * 100, cap_orig, cap_ea,
+              kDropTarget * 100, cap_orig, cap_ea,
               cap_orig > 0 ? 100.0 * (cap_ea - cap_orig) / cap_orig : 0.0);
 
-  // The price of handover signalling: at the top of the users axis, sweep
-  // the dwell time (shorter dwell = more handovers) and compare the hard
-  // policy against the idealized instant one on the energy-aware pipeline.
-  // Each point is one in-process run, folded immediately — results are
-  // identical in process and supervised, so the artifact stays
-  // byte-comparable.
-  std::vector<Seconds> dwell_axis;
-  if (params.dwell > 0) {
-    dwell_axis = {0.0, 4 * params.dwell, 2 * params.dwell, params.dwell,
-                  params.dwell / 2};
-  } else {
-    dwell_axis = {0.0};
-  }
   struct PricePoint {
     Seconds dwell = 0;
     PointSummary hard;
     PointSummary instant;
   };
   std::vector<PricePoint> price;
-  {
-    MetroParams p = params;
-    p.max_users = users_axis.back();
-    for (const Seconds dwell : dwell_axis) {
-      PricePoint point;
-      point.dwell = dwell;
-      p.dwell = dwell;
-      p.policy = metro::HandoverPolicy::kHard;
-      point.hard = summarize(
-          p.max_users,
-          metro::run_metro(metro_config(browser::PipelineMode::kEnergyAware, p)));
-      p.policy = metro::HandoverPolicy::kInstant;
-      point.instant = summarize(
-          p.max_users,
-          metro::run_metro(metro_config(browser::PipelineMode::kEnergyAware, p)));
-      price.push_back(point);
-    }
+  for (const Seconds dwell : dwell_axis) {
+    price.push_back(
+        {dwell, summary_of(key(kEnergyAware, users_axis.back(), dwell, kHard)),
+         summary_of(key(kEnergyAware, users_axis.back(), dwell, kInstant))});
   }
   TextTable price_table({"dwell s", "handovers", "drop% hard", "drop% instant",
                          "J/UE hard", "J/UE instant"});
@@ -270,27 +293,12 @@ int main(int argc, char** argv) {
   std::printf("handover signalling price (energy-aware, %d users/cell):\n%s",
               users_axis.back(), price_table.render().c_str());
 
-  // Optional scale point: one grid sized to >= 100k concurrent sessions,
-  // short horizon, still a single streaming fold.
   PointSummary scale;
-  const bool scale_on = bench::knobs().flag("EAB_METRO_SCALE");
   if (scale_on) {
-    MetroParams p = params;
-    p.grid_w = 16;
-    p.grid_h = 16;    // 256 cells, the metro's limit
-    p.max_users = 391;  // 256 * 391 = 100,096 sessions
-    p.horizon = 30.0;
-    p.dwell = 60.0;
-    std::vector<PointSummary> out;
-    if (!sweep_mode("scale",
-                    metro_config(browser::PipelineMode::kEnergyAware, p),
-                    {p.max_users}, out)) {
-      return 1;
-    }
-    scale = out[0];
+    scale = summary_of(scale_run);
     std::printf("scale: %d concurrent sessions across %dx%d cells, "
                 "%llu offered, %llu handovers, %llu events, end %.2f s\n",
-                scale.total_users, p.grid_w, p.grid_h,
+                scale.total_users, scale_run.grid_w, scale_run.grid_h,
                 static_cast<unsigned long long>(scale.offered),
                 static_cast<unsigned long long>(scale.handovers),
                 static_cast<unsigned long long>(scale.sim_events),
@@ -312,8 +320,8 @@ int main(int argc, char** argv) {
                  "  \"capacity_energy_aware\": %.17g,\n"
                  "  \"points\": [\n",
                  params.grid_w, params.grid_h, params.horizon, params.dwell,
-                 params.hotspot, metro::to_string(params.policy),
-                 static_cast<unsigned long long>(params.seed), params.target,
+                 params.hotspot, metro::to_string(kHard),
+                 static_cast<unsigned long long>(params.seed), kDropTarget,
                  cap_orig, cap_ea);
   for (std::size_t i = 0; i < users_axis.size(); ++i) {
     bench::appendf(

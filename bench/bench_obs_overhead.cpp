@@ -1,6 +1,7 @@
 // Measures what observability costs: the 64-load batch sweep from
-// bench_throughput run untraced and traced, best-of-N wall clock each, plus
-// a 16-UE cell run with telemetry sampling off and on.
+// bench_throughput run untraced and traced, plus a 16-UE cell run with
+// telemetry sampling off and on.  Each pair is timed best-of-N, with the
+// off and on runs alternating so machine drift hits both sides alike.
 //
 // The cost contract (obs/trace.hpp) is that a disabled recorder is one
 // predicted-not-taken branch per site and an enabled one only appends to a
@@ -15,6 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <type_traits>
 
 #include "cell/cell.hpp"
 
@@ -27,21 +29,28 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Best-of-`reps` wall clock for one cold run of `jobs` (an empty script
-/// memo per repetition: it would otherwise answer every repeat for free).
-double best_wall(const std::vector<core::BatchJob>& jobs, int reps,
-                 std::vector<core::SingleLoadResult>* out) {
-  double best = 1e9;
-  core::BatchRunner runner(
-      static_cast<int>(bench::knobs().u64_or("EAB_JOBS", 0)));
+/// Runs run(false) and run(true) alternately, `reps` times each, so a
+/// drift in the machine's speed lands on both sides alike.  Returns each
+/// side's best wall clock and its first result.  Every run starts from an
+/// empty script memo: it would otherwise answer every repeat for free.
+template <typename Run>
+auto alternating_best_of(int reps, Run&& run) {
+  using Result = std::invoke_result_t<Run&, bool>;
+  struct Sides {
+    double wall[2] = {1e9, 1e9};  // [off, on]
+    Result first[2];
+  };
+  Sides sides;
   for (int rep = 0; rep < reps; ++rep) {
-    web::js::reset_script_memo();
-    const auto start = Clock::now();
-    auto results = runner.run(jobs);
-    best = std::min(best, seconds_since(start));
-    if (out != nullptr && rep == 0) *out = std::move(results);
+    for (const bool on : {false, true}) {
+      web::js::reset_script_memo();
+      const auto start = Clock::now();
+      Result result = run(on);
+      sides.wall[on] = std::min(sides.wall[on], seconds_since(start));
+      if (rep == 0) sides.first[on] = std::move(result);
+    }
   }
-  return best;
+  return sides;
 }
 
 /// The telemetry measurement vehicle: one 16-UE cell, 600 s horizon.
@@ -56,21 +65,6 @@ cell::CellConfig overhead_cell_config(Seconds telemetry_tick) {
   config.cell_seed = 5;
   config.telemetry_tick = telemetry_tick;
   return config;
-}
-
-/// Best-of-`reps` wall clock for one cold run of the cell (an empty script
-/// memo per repetition, as in best_wall).
-double best_cell_wall(const cell::CellConfig& config, int reps,
-                      cell::CellResult* out) {
-  double best = 1e9;
-  for (int rep = 0; rep < reps; ++rep) {
-    web::js::reset_script_memo();
-    const auto start = Clock::now();
-    auto result = cell::run_cell(config);
-    best = std::min(best, seconds_since(start));
-    if (out != nullptr && rep == 0) *out = std::move(result);
-  }
-  return best;
 }
 
 /// The telemetry identity: sampling must not bend the workload trajectory.
@@ -101,13 +95,19 @@ int main(int argc, char** argv) {
   }
   bench::print_header("Obs overhead", "tracing cost on the 64-load batch sweep");
 
-  const int kReps = 3;
+  const int kReps = 7;
   const auto untraced_jobs = bench::mixed_sweep(false);
   const auto traced_jobs = bench::mixed_sweep(true);
 
-  std::vector<core::SingleLoadResult> untraced, traced;
-  const double untraced_s = best_wall(untraced_jobs, kReps, &untraced);
-  const double traced_s = best_wall(traced_jobs, kReps, &traced);
+  core::BatchRunner runner(
+      static_cast<int>(bench::knobs().u64_or("EAB_JOBS", 0)));
+  const auto batch = alternating_best_of(kReps, [&](bool traced) {
+    return runner.run(traced ? traced_jobs : untraced_jobs);
+  });
+  const double untraced_s = batch.wall[0];
+  const double traced_s = batch.wall[1];
+  const std::vector<core::SingleLoadResult>& untraced = batch.first[0];
+  const std::vector<core::SingleLoadResult>& traced = batch.first[1];
 
   // The identity the whole subsystem stands on: tracing changes nothing.
   bool identical = untraced.size() == traced.size();
@@ -153,11 +153,15 @@ int main(int argc, char** argv) {
               audit_failures == 0 ? "all passed" : "FAILED");
 
   // Phase 2: telemetry sampling on the cell co-simulation.
-  cell::CellResult plain, sampled;
-  const double plain_s =
-      best_cell_wall(overhead_cell_config(0), kReps, &plain);
-  const double sampled_s =
-      best_cell_wall(overhead_cell_config(5.0), kReps, &sampled);
+  const cell::CellConfig cell_configs[] = {overhead_cell_config(0),
+                                           overhead_cell_config(5.0)};
+  const auto sampling = alternating_best_of(kReps, [&](bool sampled) {
+    return cell::run_cell(cell_configs[sampled]);
+  });
+  const double plain_s = sampling.wall[0];
+  const double sampled_s = sampling.wall[1];
+  const cell::CellResult& plain = sampling.first[0];
+  const cell::CellResult& sampled = sampling.first[1];
   const bool cell_identical = same_workload(plain, sampled) &&
                               plain.telemetry == nullptr &&
                               sampled.telemetry != nullptr;

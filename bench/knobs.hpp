@@ -293,9 +293,6 @@ class KnobRegistry {
              "0 disables mobility", false);
     f64_knob("EAB_METRO_HOTSPOT", "0.5", "a hotspot strength >= 0",
              "home-cell load-imbalance strength (0 = uniform homes)", false);
-    flag_knob("EAB_METRO_INSTANT",
-              "use the idealized zero-cost handover policy instead of the "
-              "hard-handover signalling exchange");
     flag_knob("EAB_METRO_SCALE",
               "add the 100k-session scale point (large grid, short horizon) "
               "to the metro bench");

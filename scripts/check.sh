@@ -55,16 +55,17 @@ run_parse_oracle() {
 echo "== batch: worker-count determinism =="
 # EAB_JOBS promises bit-identical results for any worker count.  Each bench
 # runs serially and on four workers, from its own directory per count; stdout
-# and every artifact it writes must match byte for byte.  The metro runs
-# too: the script-outcome memo stores every pure outcome on first sight, so
-# which runs replay depends on scheduling, and the bytes must not.
+# and every artifact it writes must match byte for byte.  fig16 folds its
+# pooled sessions in index order, so its sums add in the serial order.  The
+# metro runs too: the script-outcome memo stores every pure outcome on first
+# sight, so which runs replay depends on scheduling, and the bytes must not.
 metro_env="EAB_METRO_GRID_W=2 EAB_METRO_GRID_H=2 EAB_METRO_USERS=6 EAB_METRO_HORIZON=120"
 jobs_dir=build/bench/jobs_check
 rm -rf "$jobs_dir"
 for n in 1 4; do
   mkdir -p "$jobs_dir/j$n"
   for b in bench_fig08_transmission_time bench_fig10_energy bench_ext_faults \
-      bench_ext_chaos; do
+      bench_ext_chaos bench_fig16_policies; do
     (cd "$jobs_dir/j$n" && EAB_JOBS=$n EAB_CHAOS_SEEDS=32 "../../$b" \
       > "$b.stdout.txt")
   done
@@ -310,6 +311,30 @@ cp build/bench/BENCH_metro.json "$metro/ref_metro.json"
 cmp "$metro/ref_metro.json" build/bench/BENCH_metro.json
 cmp "$metro/ref_stdout.txt" "$metro/sup_stdout.txt"
 echo "metro sweep byte-identical across serial/supervised"
+# Every metro run, the handover-price table's included, goes through one
+# journal (metro.journal): relaunched after its workers and orchestrator are
+# SIGKILLed, the supervised sweep must resume to the reference bytes.
+rm -rf "$metro/ckpt"
+mkdir -p "$metro/ckpt"
+relaunches=0
+until (cd build/bench && env $metro_env EAB_SUPERVISE=1 EAB_JOBS=2 \
+    EAB_CHECKPOINT_DIR="metro_check/ckpt" EAB_SELF_CHAOS=77 \
+    EAB_SELF_CHAOS_KILLS=4 EAB_SELF_CHAOS_ORC=1 \
+    ./bench_metro > metro_check/chaos_stdout.txt \
+    2>> metro_check/chaos_stderr.txt); do
+  relaunches=$((relaunches + 1))
+  if [ "$relaunches" -gt 20 ]; then
+    echo "METRO RESUME FAILED: the chaos sweep never converged" >&2
+    exit 1
+  fi
+done
+grep -q 'supervisor: chaos SIGKILL orchestrator' "$metro/chaos_stderr.txt" || {
+  echo "METRO RESUME FAILED: the orchestrator was never killed" >&2
+  exit 1
+}
+cmp "$metro/ref_stdout.txt" "$metro/chaos_stdout.txt"
+cmp "$metro/ref_metro.json" build/bench/BENCH_metro.json
+echo "metro journal resumed byte-identically after $relaunches relaunch(es)"
 
 echo "== telemetry: determinism suite + overhead gate + cross-mode bytes =="
 # The telemetry ladder (DESIGN.md §11): integer-quanta merge associativity,

@@ -1,10 +1,27 @@
 #include "capacity/mgn.hpp"
 
 #include <cmath>
+#include <iterator>
 #include <queue>
 #include <stdexcept>
 
 namespace eab::capacity {
+namespace {
+
+/// t(0.975, df), the two-sided 95 % Student t quantile, for the df = n - 1
+/// degrees of freedom of n replications; the normal 1.96 from n = 30 up.
+double t_975(int df) {
+  static constexpr double kTable[] = {
+      12.706204736, 4.302652730, 3.182446305, 2.776445105, 2.570581836,
+      2.446911851,  2.364624252, 2.306004135, 2.262157163, 2.228138852,
+      2.200985160,  2.178812830, 2.160368656, 2.144786688, 2.131449546,
+      2.119905299,  2.109815578, 2.100922040, 2.093024054, 2.085963447,
+      2.079613845,  2.073873068, 2.068657610, 2.063898562, 2.059538553,
+      2.055529439,  2.051830516, 2.048407142};  // df = 1..28
+  return df <= static_cast<int>(std::size(kTable)) ? kTable[df - 1] : 1.96;
+}
+
+}  // namespace
 
 ServiceTimeDistribution::ServiceTimeDistribution(std::vector<Seconds> samples)
     : samples_(std::move(samples)) {
@@ -109,9 +126,8 @@ CapacityEstimate estimate_capacity(const CapacityConfig& config,
 
   CapacityEstimate estimate;
   estimate.mean_drop = mean;
-  // t_{0.975, n-1} ~ 2.36 for n=8; 1.96 asymptotically. Use a small lookup.
-  const double t = replications >= 30 ? 1.96 : 2.36;
-  estimate.ci_halfwidth = t * std::sqrt(var / replications);
+  estimate.ci_halfwidth =
+      t_975(replications - 1) * std::sqrt(var / replications);
   estimate.replications = replications;
   return estimate;
 }

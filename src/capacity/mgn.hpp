@@ -68,8 +68,9 @@ CapacityResult simulate_capacity(const CapacityConfig& config,
                                  std::uint64_t seed);
 
 /// Drop probability with a replication-based 95 % confidence interval:
-/// `replications` independent runs (seeds derived from `seed`), normal
-/// approximation over the per-run estimates.
+/// `replications` independent runs (seeds derived from `seed`), Student t
+/// over the per-run estimates (exact t(0.975, n - 1) below 30 runs, 1.96
+/// from 30 up).
 struct CapacityEstimate {
   double mean_drop = 0;
   double ci_halfwidth = 0;  ///< 95 % CI is mean_drop +- ci_halfwidth

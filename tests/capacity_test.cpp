@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
 namespace eab::capacity {
 namespace {
 
@@ -115,6 +119,39 @@ TEST(Capacity, DeterministicForSeed) {
   const auto b = simulate_capacity(config, dist, 3);
   EXPECT_EQ(a.offered_sessions, b.offered_sessions);
   EXPECT_EQ(a.dropped_sessions, b.dropped_sessions);
+}
+
+TEST(Capacity, EstimateHalfwidthUsesExactStudentT) {
+  // Rebuild each estimate from its replications' own runs: the halfwidth
+  // over the standard error is the t quantile estimate_capacity applied,
+  // t(0.975, n - 1) below 30 replications and the normal 1.96 from 30 up.
+  CapacityConfig config;
+  config.users = 420;
+  config.horizon = 1500;
+  const ServiceTimeDistribution dist({14.0, 18.0});
+  const std::uint64_t seed = 3;
+  const std::pair<int, double> pins[] = {
+      {6, 2.570581836}, {8, 2.364624252}, {30, 1.96}};
+  for (const auto& [n, t] : pins) {
+    std::vector<double> drops;
+    for (int r = 0; r < n; ++r) {
+      drops.push_back(
+          simulate_capacity(config, dist, seed + 0x9E37ULL * (r + 1))
+              .drop_probability);
+    }
+    double sum = 0;
+    for (const double d : drops) sum += d;
+    const double mean = sum / n;
+    double var = 0;
+    for (const double d : drops) var += (d - mean) * (d - mean);
+    var /= n - 1;
+    ASSERT_GT(var, 0) << n;
+
+    const CapacityEstimate estimate = estimate_capacity(config, dist, seed, n);
+    EXPECT_EQ(estimate.replications, n);
+    EXPECT_DOUBLE_EQ(estimate.mean_drop, mean) << n;
+    EXPECT_NEAR(estimate.ci_halfwidth / std::sqrt(var / n), t, 1e-9) << n;
+  }
 }
 
 TEST(Capacity, ValidatesConfig) {

@@ -406,6 +406,33 @@ TEST(MetroTest, InstantPolicyMigratesWithoutSignalling) {
   EXPECT_STREQ(to_string(HandoverPolicy::kHard), "hard");
 }
 
+TEST(MetroTest, PolicyIsInertAtZeroDwell) {
+  // bench_metro runs the handover-price table's dwell-0 instant row as its
+  // dwell-0 hard run: with mobility off no UE moves, move_ue is never
+  // called, and the policy cannot reach a result.  Pinned on the bench's
+  // 3x3 template, scaled down in users and horizon; with mobility on, the
+  // same template must tell the policies apart.
+  cell::CellConfig cell;
+  cell.per_ue =
+      core::ScenarioBuilder(browser::PipelineMode::kEnergyAware).build();
+  cell.specs = corpus::mobile_benchmark();
+  cell.users = 8;
+  cell.channels = 6;
+  cell.horizon = 120.0;
+  cell.cell_seed = 1;
+  const auto run = [&cell](Seconds dwell, HandoverPolicy policy) {
+    return serialize_metro_result(run_metro(MetroBuilder()
+                                                .grid(3, 3)
+                                                .cell(cell)
+                                                .mean_dwell(dwell)
+                                                .hotspot(0.5)
+                                                .policy(policy)
+                                                .build()));
+  };
+  EXPECT_EQ(run(0, HandoverPolicy::kHard), run(0, HandoverPolicy::kInstant));
+  EXPECT_NE(run(30, HandoverPolicy::kHard), run(30, HandoverPolicy::kInstant));
+}
+
 TEST(MetroTest, UsersAtDropTargetInterpolates) {
   using cell::users_at_drop_target;  // the one interpolation, shared with cell
   const std::vector<int> axis{10, 20, 30};
